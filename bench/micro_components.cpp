@@ -1,22 +1,29 @@
 // Google-benchmark micro benches for the building blocks: the DES engine's
 // event throughput, the real producer buffer, the block policy, the fabric
-// transfer path, and the real computational kernels (LBM step, MD step,
+// transfer path, zipperd's per-block wire path (checksum, frame encode and
+// decode), and the real computational kernels (LBM step, MD step,
 // moment/MSD analysis).
 #include <benchmark/benchmark.h>
+#include <sys/uio.h>
 
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "apps/analysis/moments.hpp"
 #include "apps/analysis/msd.hpp"
 #include "apps/lbm/lbm_solver.hpp"
 #include "apps/md/lj_md.hpp"
 #include "apps/synthetic.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "core/exec/epoll.hpp"
 #include "core/exec/threaded.hpp"
 #include "core/exec/virtual_time.hpp"
 #include "core/rt/producer_buffer.hpp"
+#include "core/zipper/net_frame.hpp"
 #include "net/fabric.hpp"
 #include "sim/channel.hpp"
 #include "sim/latch.hpp"
@@ -335,6 +342,80 @@ static void BM_FabricTransfer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * messages);
 }
 BENCHMARK(BM_FabricTransfer)->Arg(256)->Arg(4096);
+
+// ------------------------------------------------------------ wire path ----
+// One zipperd kMixed block, layer by layer, without the syscalls. Items are
+// payload bytes, so M items/s reads as MB/s.
+
+namespace {
+
+core::zbody::net::WireMixed wire_block(std::size_t bytes) {
+  core::zbody::net::WireMixed m;
+  m.has_block = true;
+  m.block.id = core::BlockId{3, 1, 2};
+  m.block.bytes = bytes;
+  m.payload.resize(bytes);
+  common::Xoshiro256 rng(11);
+  for (std::byte& b : m.payload) b = static_cast<std::byte>(rng() & 0xFF);
+  return m;
+}
+
+}  // namespace
+
+static void BM_ChecksumFnv1a(benchmark::State& state) {
+  const auto m = wire_block(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(common::fnv1a(m.payload));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ChecksumFnv1a)->Name("BM_Checksum/fnv1a")->Arg(64 << 10);
+
+static void BM_ChecksumXxh64(benchmark::State& state) {
+  const auto m = wire_block(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(common::xxh64(m.payload));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ChecksumXxh64)->Name("BM_Checksum/xxh64")->Arg(64 << 10);
+
+// The client's user-space work per block: encode the frame head (checksum
+// included) and point an iovec pair at head and payload for sendmsg().
+static void BM_FrameEncode(benchmark::State& state) {
+  const auto m = wire_block(static_cast<std::size_t>(state.range(0)));
+  const std::span<const std::byte> payload = m.payload;
+  for (auto _ : state) {
+    std::vector<std::byte> head =
+        core::zbody::net::encode_mixed_head(m, payload);
+    iovec iov[2] = {{head.data(), head.size()},
+                    {const_cast<std::byte*>(payload.data()), payload.size()}};
+    benchmark::DoNotOptimize(iov);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FrameEncode)->Arg(64 << 10);
+
+// The daemon's work per block: receive into the decoder's buffer (memcpy
+// standing in for recv()'s kernel copy), pop the frame as a view, verify
+// and copy the payload out.
+static void BM_FrameDecode(benchmark::State& state) {
+  const auto frame = core::zbody::net::encode_mixed(
+      wire_block(static_cast<std::size_t>(state.range(0))));
+  core::zbody::net::FrameDecoder dec;
+  for (auto _ : state) {
+    std::size_t got = 0;
+    while (got < frame.size()) {
+      const std::span<std::byte> space = dec.prepare(frame.size() - got);
+      std::memcpy(space.data(), frame.data() + got, space.size());
+      dec.commit(space.size());
+      got += space.size();
+    }
+    const auto view = dec.next_view();
+    auto m = core::zbody::net::decode_mixed(view->body);
+    benchmark::DoNotOptimize(m.payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FrameDecode)->Arg(64 << 10);
 
 // ------------------------------------------------------- producer buffer ----
 

@@ -6,8 +6,10 @@
 // (net_frame.hpp). One NetEnv instance serves one side of one session:
 //
 //   * client role — attach_wire() hands it the connected socket; send_mixed/
-//     send_done serialize frames and write them through the epoll loop
-//     (short writes park on wait_writable). The spill path writes real files
+//     send_done encode a frame head and write head + block payload with one
+//     scatter-gather sendmsg() through the epoll loop, so the payload is
+//     never copied in user space (short writes advance the iovec and park on
+//     wait_writable). The spill path writes real files
 //     into the session's shared spill directory — the "PFS" the daemon's
 //     reader fetches degraded blocks from, so the resilience ladder's
 //     exactly-once guarantee holds across processes.
@@ -27,12 +29,14 @@
 #pragma once
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +144,8 @@ class NetEnv {
   /// Non-empty once a send hit a hard socket error; sends are no-ops after.
   const std::string& wire_error() const noexcept { return wire_error_; }
 
+  /// `msg` lives in this coroutine's frame until the frame is written, and
+  /// with it the Block whose payload the write reads in place.
   sim::Task send_mixed(int p, int c, MixedT msg) {
     net::WireMixed w;
     w.has_block = msg.has_block;
@@ -150,31 +156,48 @@ class NetEnv {
     w.ids_on_disk = std::move(msg.ids_on_disk);
     w.sent_raw_ns =
         static_cast<std::uint64_t>(exec::EpollExecutor::raw_now());
+    std::span<const std::byte> payload;
     if (msg.has_block && msg.item.payload) {
-      w.payload = msg.item.payload->payload;
+      payload = msg.item.payload->payload;
     }
     (void)p;
-    co_await write_frame(net::encode_mixed(w));
+    co_await write_frame(net::encode_mixed_head(w, payload), payload);
   }
 
   sim::Task send_done(int p, int c, MixedT msg) {
     return send_mixed(p, c, std::move(msg));
   }
 
-  /// Writes one whole frame, serialized against concurrent senders so frames
-  /// never interleave on the wire. Short writes park on epoll writability —
-  /// this is where real TCP backpressure (including chaos-injected daemon
-  /// read stalls) reaches the producer side.
-  sim::Task write_frame(std::vector<std::byte> frame) {
+  /// Writes one whole frame — `head` then `tail`, which the caller keeps
+  /// alive until this completes — serialized against concurrent senders so
+  /// frames never interleave on the wire. Short writes park on epoll
+  /// writability — this is where real TCP backpressure (including
+  /// chaos-injected daemon read stalls) reaches the producer side.
+  sim::Task write_frame(std::vector<std::byte> head,
+                        std::span<const std::byte> tail = {}) {
     if (wire_fd_ < 0 || !wire_error_.empty()) co_return;
     co_await wire_m_.lock();
-    std::size_t off = 0;
-    while (off < frame.size() && wire_error_.empty()) {
-      const ssize_t n =
-          ::send(wire_fd_, frame.data() + off, frame.size() - off,
-                 MSG_NOSIGNAL);
+    iovec iov[2] = {{head.data(), head.size()},
+                    {const_cast<std::byte*>(tail.data()), tail.size()}};
+    std::size_t first = 0;
+    const std::size_t count = tail.empty() ? 1 : 2;
+    while (first < count && wire_error_.empty()) {
+      msghdr mh{};
+      mh.msg_iov = iov + first;
+      mh.msg_iovlen = count - first;
+      const ssize_t n = ::sendmsg(wire_fd_, &mh, MSG_NOSIGNAL);
       if (n >= 0) {
-        off += static_cast<std::size_t>(n);
+        // Drop the fully written iovecs, trim the partially written one.
+        auto left = static_cast<std::size_t>(n);
+        while (first < count && left >= iov[first].iov_len) {
+          left -= iov[first].iov_len;
+          ++first;
+        }
+        if (first < count) {
+          iov[first].iov_base =
+              static_cast<std::byte*>(iov[first].iov_base) + left;
+          iov[first].iov_len -= left;
+        }
         continue;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -184,7 +207,7 @@ class NetEnv {
         continue;
       }
       if (errno == EINTR) continue;
-      wire_error_ = std::string("send: ") + std::strerror(errno);
+      wire_error_ = std::string("sendmsg: ") + std::strerror(errno);
     }
     wire_m_.unlock();
   }

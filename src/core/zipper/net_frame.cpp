@@ -1,5 +1,6 @@
 #include "core/zipper/net_frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/checksum.hpp"
@@ -53,6 +54,14 @@ void put_header(std::vector<std::byte>& out, const BlockHeader& h) {
 
 // ------------------------------------------------------------- decoding ----
 
+std::uint32_t load_u32(const std::byte* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
 /// Bounds-checked read cursor; any overrun is a malformed (truncated) frame.
 struct Cursor {
   const std::byte* p;
@@ -68,11 +77,7 @@ struct Cursor {
   }
   std::uint32_t u32() {
     need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
+    const std::uint32_t v = load_u32(p + pos);
     pos += 4;
     return v;
   }
@@ -125,6 +130,40 @@ std::vector<std::byte> finish(FrameType type, std::vector<std::byte> body) {
   return out;
 }
 
+// has_block, done, producer, consumer, sent_raw_ns, ids_on_disk count.
+constexpr std::size_t kMixedFixedBytes = 1 + 1 + 4 + 4 + 8 + 4;
+// BlockHeader: step, producer, index, offset, bytes, on_disk.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8 + 8 + 1;
+// The block's header, payload checksum and payload length.
+constexpr std::size_t kBlockTrailerBytes = kHeaderBytes + 8 + 4;
+
+/// Bytes of a kMixed frame before its payload, length prefix included.
+std::size_t mixed_head_bytes(const WireMixed& m) {
+  return 5 + kMixedFixedBytes + kHeaderBytes * m.ids_on_disk.size() +
+         (m.has_block ? kBlockTrailerBytes : 0);
+}
+
+/// Appends the kMixed frame up to (not including) its payload bytes.
+void put_mixed_head(std::vector<std::byte>& out, const WireMixed& m,
+                    std::span<const std::byte> payload) {
+  if (!m.has_block) payload = {};
+  put_u32(out,
+          static_cast<std::uint32_t>(mixed_head_bytes(m) - 4 + payload.size()));
+  put_u8(out, static_cast<std::uint8_t>(FrameType::kMixed));
+  put_u8(out, m.has_block ? 1 : 0);
+  put_u8(out, m.done ? 1 : 0);
+  put_i32(out, m.producer);
+  put_i32(out, m.consumer);
+  put_u64(out, m.sent_raw_ns);
+  put_u32(out, static_cast<std::uint32_t>(m.ids_on_disk.size()));
+  for (const BlockHeader& h : m.ids_on_disk) put_header(out, h);
+  if (m.has_block) {
+    put_header(out, m.block);
+    put_u64(out, common::xxh64(payload));
+    put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  }
+}
+
 }  // namespace
 
 std::vector<std::byte> encode_hello(const SessionSpec& spec) {
@@ -150,7 +189,7 @@ std::vector<std::byte> encode_hello(const SessionSpec& spec) {
   return finish(FrameType::kHello, std::move(b));
 }
 
-SessionSpec decode_hello(const std::vector<std::byte>& body) {
+SessionSpec decode_hello(std::span<const std::byte> body) {
   Cursor c{body.data(), body.size()};
   if (c.u32() != kHelloMagic) throw FrameError("bad hello magic");
   SessionSpec s;
@@ -179,26 +218,23 @@ SessionSpec decode_hello(const std::vector<std::byte>& body) {
   return s;
 }
 
-std::vector<std::byte> encode_mixed(const WireMixed& m) {
-  std::vector<std::byte> b;
-  b.reserve(64 + m.payload.size() + 33 * m.ids_on_disk.size());
-  put_u8(b, m.has_block ? 1 : 0);
-  put_u8(b, m.done ? 1 : 0);
-  put_i32(b, m.producer);
-  put_i32(b, m.consumer);
-  put_u64(b, m.sent_raw_ns);
-  put_u32(b, static_cast<std::uint32_t>(m.ids_on_disk.size()));
-  for (const BlockHeader& h : m.ids_on_disk) put_header(b, h);
-  if (m.has_block) {
-    put_header(b, m.block);
-    put_u64(b, common::fnv1a(m.payload));
-    put_u32(b, static_cast<std::uint32_t>(m.payload.size()));
-    b.insert(b.end(), m.payload.begin(), m.payload.end());
-  }
-  return finish(FrameType::kMixed, std::move(b));
+std::vector<std::byte> encode_mixed_head(const WireMixed& m,
+                                         std::span<const std::byte> payload) {
+  std::vector<std::byte> out;
+  out.reserve(mixed_head_bytes(m));
+  put_mixed_head(out, m, payload);
+  return out;
 }
 
-WireMixed decode_mixed(const std::vector<std::byte>& body) {
+std::vector<std::byte> encode_mixed(const WireMixed& m) {
+  std::vector<std::byte> out;
+  out.reserve(mixed_head_bytes(m) + (m.has_block ? m.payload.size() : 0));
+  put_mixed_head(out, m, m.payload);
+  if (m.has_block) out.insert(out.end(), m.payload.begin(), m.payload.end());
+  return out;
+}
+
+WireMixed decode_mixed(std::span<const std::byte> body) {
   Cursor c{body.data(), body.size()};
   WireMixed m;
   m.has_block = c.u8() != 0;
@@ -207,7 +243,9 @@ WireMixed decode_mixed(const std::vector<std::byte>& body) {
   m.consumer = c.i32();
   m.sent_raw_ns = c.u64();
   const std::uint32_t nids = c.u32();
-  if (nids > kMaxFrameBytes / 33) throw FrameError("oversized spill-id list");
+  if (nids > kMaxFrameBytes / kHeaderBytes) {
+    throw FrameError("oversized spill-id list");
+  }
   m.ids_on_disk.reserve(nids);
   for (std::uint32_t i = 0; i < nids; ++i) m.ids_on_disk.push_back(c.header());
   if (m.has_block) {
@@ -216,11 +254,12 @@ WireMixed decode_mixed(const std::vector<std::byte>& body) {
     const std::uint32_t len = c.u32();
     if (len > kMaxFrameBytes) throw FrameError("oversized block payload");
     c.need(len);
-    m.payload.assign(c.p + c.pos, c.p + c.pos + len);
-    c.pos += len;
-    if (common::fnv1a(m.payload) != sum) {
+    const std::span<const std::byte> payload = body.subspan(c.pos, len);
+    if (common::xxh64(payload) != sum) {
       throw FrameError("block payload checksum mismatch");
     }
+    m.payload.assign(payload.begin(), payload.end());
+    c.pos += len;
   }
   c.done();
   return m;
@@ -240,7 +279,7 @@ std::vector<std::byte> encode_summary(const SessionSummary& s) {
   return finish(FrameType::kSummary, std::move(b));
 }
 
-SessionSummary decode_summary(const std::vector<std::byte>& body) {
+SessionSummary decode_summary(std::span<const std::byte> body) {
   Cursor c{body.data(), body.size()};
   SessionSummary s;
   s.session_id = c.u64();
@@ -258,39 +297,72 @@ SessionSummary decode_summary(const std::vector<std::byte>& body) {
   return s;
 }
 
-void FrameDecoder::feed(const std::byte* data, std::size_t n) {
-  // Compact the consumed prefix once it dominates the buffer, so a long
-  // session doesn't grow the buffer without bound.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
+void FrameDecoder::reserve(std::size_t n) {
+  if (pos_ == end_) pos_ = end_ = 0;
+  if (cap_ - end_ >= n) return;
+  const std::size_t pending = end_ - pos_;
+  if (cap_ - pending >= n) {
+    std::memmove(buf_.get(), buf_.get() + pos_, pending);
+  } else {
+    // Grows by at least half so byte-wise feeds stay amortized O(1); new
+    // bytes are not zero-filled, recv() or feed() overwrites them.
+    const std::size_t cap = std::max(pending + n, cap_ + cap_ / 2);
+    auto grown = std::make_unique_for_overwrite<std::byte[]>(cap);
+    if (pending > 0) std::memcpy(grown.get(), buf_.get() + pos_, pending);
+    buf_ = std::move(grown);
+    cap_ = cap;
   }
-  buf_.insert(buf_.end(), data, data + n);
+  pos_ = 0;
+  end_ = pending;
 }
 
-std::optional<Frame> FrameDecoder::next() {
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < 5) return std::nullopt;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(buf_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
+void FrameDecoder::feed(const std::byte* data, std::size_t n) {
+  if (n == 0) return;
+  reserve(n);
+  std::memcpy(buf_.get() + end_, data, n);
+  end_ += n;
+}
+
+std::span<std::byte> FrameDecoder::prepare(std::size_t n) {
+  const std::size_t pending = end_ - pos_;
+  std::size_t room = n + max_frame_;
+  if (pending >= 4) {
+    const std::size_t frame = 4 + std::size_t{load_u32(buf_.get() + pos_)};
+    if (frame > pending && frame <= 4 + std::size_t{kMaxFrameBytes}) {
+      // Stop this read at the frame's end: the buffer then drains to empty.
+      n = std::min(n, frame - pending);
+      room = frame - pending;
+    }
   }
+  // Room for a whole frame past a read that ends mid-frame, so the read that
+  // completes it never has to move the partial frame to the front.
+  reserve(room);
+  return {buf_.get() + end_, n};
+}
+
+std::optional<FrameView> FrameDecoder::next_view() {
+  const std::size_t avail = end_ - pos_;
+  if (avail < 4) return std::nullopt;
+  const std::uint32_t len = load_u32(buf_.get() + pos_);
   if (len == 0) throw FrameError("zero-length frame");
   if (len > kMaxFrameBytes) {
     throw FrameError("oversized frame length " + std::to_string(len));
   }
   if (avail < 4 + static_cast<std::size_t>(len)) return std::nullopt;
-  const std::uint8_t type = static_cast<std::uint8_t>(buf_[pos_ + 4]);
+  const auto type = static_cast<std::uint8_t>(buf_[pos_ + 4]);
   if (type < 1 || type > 3) {
     throw FrameError("unknown frame type " + std::to_string(type));
   }
-  Frame f;
-  f.type = static_cast<FrameType>(type);
-  f.body.assign(buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 5),
-                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4 + len));
-  pos_ += 4 + len;
-  return f;
+  FrameView v{static_cast<FrameType>(type), {buf_.get() + pos_ + 5, len - 1}};
+  pos_ += 4 + std::size_t{len};
+  max_frame_ = std::max(max_frame_, 4 + std::size_t{len});
+  return v;
+}
+
+std::optional<Frame> FrameDecoder::next() {
+  const std::optional<FrameView> v = next_view();
+  if (!v) return std::nullopt;
+  return Frame{v->type, {v->body.begin(), v->body.end()}};
 }
 
 }  // namespace zipper::core::zbody::net

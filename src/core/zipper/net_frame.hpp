@@ -7,28 +7,36 @@
 //   kHello    client -> daemon, once: the serialized ScenarioSpec subset
 //             (ranks, block geometry, sched policy, chaos fault axis, spill
 //             directory) that parameterizes the per-session ZipperBody.
-//             Starts with a magic word so a stray connection is rejected
-//             before any state is allocated.
+//             Starts with a magic word ("ZPL2", the protocol version) so a
+//             stray connection or an older peer is rejected before any
+//             state is allocated.
 //   kMixed    client -> daemon: the paper's mixed message — at most one data
-//             block (header + payload bytes + FNV checksum) plus the IDs of
+//             block (header + XXH64 checksum + payload bytes) plus the IDs of
 //             blocks the writer degraded to the shared spill directory, or
 //             an end-of-stream marker. Carries the raw CLOCK_MONOTONIC send
 //             timestamp so the daemon can measure block latency at analyze
-//             time (the clock is system-wide on one host).
+//             time (the clock is system-wide on one host). The payload is
+//             the frame's tail, so a sender writes it straight from the
+//             block with scatter-gather: encode_mixed_head() builds every
+//             byte before it, and the two go out in one sendmsg().
 //   kSummary  daemon -> client, once: exactly-once accounting (analyzed /
 //             network / disk block counts), block-latency samples, and an
 //             error string when the session died early.
 //
-// The FrameDecoder is incremental: feed() whatever recv() returned — split
-// reads across epoll wakeups reassemble transparently — and next() yields
-// complete frames. Oversized lengths and truncated bodies throw FrameError
-// (the session-fatal error class; the daemon drops the one session and keeps
-// serving).
+// The FrameDecoder is incremental: bytes go in either by feed() or, without
+// a copy, by recv()ing into prepare() and commit()ing the count — split reads
+// across epoll wakeups reassemble transparently. next_view() yields complete
+// frames as views into the decoder's buffer; decode_mixed() then copies the
+// payload once, into the block. Oversized lengths and truncated bodies throw
+// FrameError (the session-fatal error class; the daemon drops the one session
+// and keeps serving).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,7 +45,7 @@
 
 namespace zipper::core::zbody::net {
 
-inline constexpr std::uint32_t kHelloMagic = 0x5A50'4C31;  // "ZPL1"
+inline constexpr std::uint32_t kHelloMagic = 0x5A50'4C32;  // "ZPL2"
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
 enum class FrameType : std::uint8_t {
@@ -111,16 +119,32 @@ struct SessionSummary {
 };
 
 std::vector<std::byte> encode_hello(const SessionSpec& spec);
-std::vector<std::byte> encode_mixed(const WireMixed& m);
 std::vector<std::byte> encode_summary(const SessionSummary& s);
 
-SessionSpec decode_hello(const std::vector<std::byte>& body);
-WireMixed decode_mixed(const std::vector<std::byte>& body);
-SessionSummary decode_summary(const std::vector<std::byte>& body);
+/// Every byte of a kMixed frame up to its payload: length prefix, type,
+/// fields, the payload's XXH64 and its length. `payload` (ignored unless
+/// m.has_block) is what follows on the wire — m.payload is not read, so a
+/// sender can checksum and then send a block's bytes where they lie.
+std::vector<std::byte> encode_mixed_head(const WireMixed& m,
+                                         std::span<const std::byte> payload);
+/// The whole kMixed frame: encode_mixed_head(m, m.payload) + m.payload.
+std::vector<std::byte> encode_mixed(const WireMixed& m);
+
+SessionSpec decode_hello(std::span<const std::byte> body);
+/// Verifies the payload's checksum and copies it into the result.
+WireMixed decode_mixed(std::span<const std::byte> body);
+SessionSummary decode_summary(std::span<const std::byte> body);
 
 struct Frame {
   FrameType type;
   std::vector<std::byte> body;
+};
+
+/// A complete frame inside FrameDecoder's buffer; `body` stays valid until
+/// the decoder's next feed() or prepare().
+struct FrameView {
+  FrameType type;
+  std::span<const std::byte> body;
 };
 
 class FrameDecoder {
@@ -128,16 +152,36 @@ class FrameDecoder {
   /// Appends raw received bytes; frames may arrive in any fragmentation.
   void feed(const std::byte* data, std::size_t n);
 
-  /// Pops the next complete frame, std::nullopt if more bytes are needed.
-  /// Throws FrameError on an oversized length or an unknown frame type.
+  /// Writable space for the next read, at most `n` bytes and never past the
+  /// end of a frame whose length is already buffered. Reads that stop at a
+  /// frame boundary let the buffer empty, and an empty buffer restarts at
+  /// offset 0 without moving a byte; the buffer holds at most one read plus
+  /// one partial frame. recv() into it, then commit() the count.
+  /// Invalidates views from next_view().
+  std::span<std::byte> prepare(std::size_t n);
+  /// Marks the first `n` bytes of the last prepare()d span as received.
+  void commit(std::size_t n) noexcept { end_ += n; }
+
+  /// Pops the next complete frame as a view into the buffer, std::nullopt
+  /// if more bytes are needed. Throws FrameError on an oversized length or
+  /// an unknown frame type.
+  std::optional<FrameView> next_view();
+  /// next_view() with the body copied out.
   std::optional<Frame> next();
 
   /// Bytes buffered mid-frame; nonzero at EOF means a truncated frame.
-  std::size_t pending_bytes() const noexcept { return buf_.size() - pos_; }
+  std::size_t pending_bytes() const noexcept { return end_ - pos_; }
 
  private:
-  std::vector<std::byte> buf_;
-  std::size_t pos_ = 0;  // consumed prefix, compacted lazily
+  /// Guarantees `n` writable bytes at end_: resets an empty buffer, moves a
+  /// pending partial frame to the front, grows (uninitialized) if needed.
+  void reserve(std::size_t n);
+
+  std::unique_ptr<std::byte[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t pos_ = 0;  // start of the first unconsumed frame
+  std::size_t end_ = 0;  // end of the received bytes
+  std::size_t max_frame_ = 0;  // largest frame popped so far
 };
 
 }  // namespace zipper::core::zbody::net

@@ -73,12 +73,15 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// Bytes one recv() asks for: more than a 64 KiB block's frame, so a read
+/// usually ends inside the second frame and the next read completes it.
+constexpr std::size_t kReadBytes = 128 * 1024;
+
 /// Reads until one complete frame is decoded. Returns an error string on
 /// EOF / socket error / frame error / cancel; the decoder keeps any bytes
 /// beyond the frame (the client may pipeline mixed frames after the hello).
 sim::Task read_one_frame(exec::EpollExecutor& ex, int fd, FrameDecoder& dec,
                          std::optional<Frame>& out, std::string& err) {
-  std::byte buf[64 * 1024];
   for (;;) {
     try {
       out = dec.next();
@@ -87,9 +90,10 @@ sim::Task read_one_frame(exec::EpollExecutor& ex, int fd, FrameDecoder& dec,
       co_return;
     }
     if (out) co_return;
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    const std::span<std::byte> space = dec.prepare(kReadBytes);
+    const ssize_t n = ::recv(fd, space.data(), space.size(), 0);
     if (n > 0) {
-      dec.feed(buf, static_cast<std::size_t>(n));
+      dec.commit(static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) {
@@ -230,6 +234,16 @@ sim::Task ZipperdServer::acceptor_main() {
     const int cfd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (cfd >= 0) {
+      // A drain that already ran would never shut this fd down, and its
+      // session would wait for a hello forever.
+      if (stopping_) {
+        ::close(cfd);
+        co_return;
+      }
+      // Registered before the session's first resume: a stop handled
+      // earlier in this loop turn still shuts it down.
+      active_fds_.insert(cfd);
+      ++stats_.sessions_accepted;
       set_nodelay(cfd);
       ex_.spawn(session_main(cfd));
       continue;
@@ -247,9 +261,6 @@ sim::Task ZipperdServer::acceptor_main() {
 }
 
 sim::Task ZipperdServer::session_main(int fd) {
-  active_fds_.push_back(fd);
-  ++stats_.sessions_accepted;
-
   FrameDecoder dec;
   std::optional<Frame> hello;
   std::string err;
@@ -270,8 +281,7 @@ sim::Task ZipperdServer::session_main(int fd) {
   if (!err.empty()) {
     log_line("session rejected: " + err);
     ++stats_.sessions_failed;
-    active_fds_.erase(
-        std::find(active_fds_.begin(), active_fds_.end(), fd));
+    active_fds_.erase(fd);
     ex_.cancel_fd(fd);
     ::close(fd);
     co_return;
@@ -351,7 +361,7 @@ sim::Task ZipperdServer::session_main(int fd) {
   // and finishes. Await it before destroying the session state it points at.
   co_await s.demux_done.wait();
 
-  active_fds_.erase(std::find(active_fds_.begin(), active_fds_.end(), fd));
+  active_fds_.erase(fd);
   ex_.cancel_fd(fd);
   ::close(fd);
   if (sum.ok) {
@@ -364,16 +374,15 @@ sim::Task ZipperdServer::session_main(int fd) {
 }
 
 sim::Task ZipperdServer::demux_main(Session* s, FrameDecoder dec) {
-  std::vector<std::byte> rbuf(64 * 1024);
   std::string err;
   bool eof = false;
   const int Q = static_cast<int>(s->spec.consumers);
   while (err.empty() && !eof) {
     // Drain every complete frame already buffered.
     for (;;) {
-      std::optional<Frame> f;
+      std::optional<FrameView> f;
       try {
-        f = dec.next();
+        f = dec.next_view();
       } catch (const FrameError& e) {
         err = e.what();
         break;
@@ -430,9 +439,10 @@ sim::Task ZipperdServer::demux_main(Session* s, FrameDecoder dec) {
       }
     }
 
-    const ssize_t n = ::recv(s->fd, rbuf.data(), rbuf.size(), 0);
+    const std::span<std::byte> space = dec.prepare(kReadBytes);
+    const ssize_t n = ::recv(s->fd, space.data(), space.size(), 0);
     if (n > 0) {
-      dec.feed(rbuf.data(), static_cast<std::size_t>(n));
+      dec.commit(static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) {

@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/chaos/chaos.hpp"
@@ -109,7 +110,9 @@ class ZipperdServer {
   int stop_fd_ = -1;  // eventfd
   std::uint16_t port_ = 0;
   bool stopping_ = false;
-  std::vector<int> active_fds_;
+  /// Accepted session sockets, registered by the acceptor and erased when
+  /// their session ends; the stop drain shuts each one down.
+  std::unordered_set<int> active_fds_;
   ServerStats stats_;
 };
 

@@ -9,9 +9,11 @@
 //   * conservation — analyzed == network + disk on both sides of the wire.
 //
 // Plus the frame-codec edge cases (truncated header, oversized length,
-// byte-by-byte split reads, checksum corruption), the chaos ladder against a
-// live daemon (fault window -> retry/backoff -> degrade to the shared spill
-// directory), peer resets mid-block, and the EpollExecutor primitive
+// byte-by-byte split reads, in-place reads at every split point, checksum
+// corruption, protocol version), scatter-gather writes under a tiny send
+// buffer, the chaos ladder against a live daemon (fault window ->
+// retry/backoff -> degrade to the shared spill directory), peer resets
+// mid-block, shutdown racing an accept, and the EpollExecutor primitive
 // contract (timer ordering, channel backpressure, deadlock detection).
 //
 // Flake-proofing contract for CI: every server here binds port 0 and the
@@ -23,8 +25,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <set>
 #include <thread>
@@ -390,6 +395,179 @@ TEST(NetFrameCodec, CorruptPayloadFailsChecksum) {
   EXPECT_THROW(znet::decode_mixed(f->body), znet::FrameError);
 }
 
+TEST(NetFrameCodec, MixedFrameIsHeadThenPayload) {
+  znet::WireMixed m;
+  m.has_block = true;
+  m.producer = 1;
+  m.consumer = 0;
+  m.sent_raw_ns = 42;
+  m.block.id = BlockId{2, 1, 0};
+  m.block.bytes = 1000;
+  m.payload.resize(1000);
+  for (std::size_t i = 0; i < m.payload.size(); ++i) {
+    m.payload[i] = static_cast<std::byte>(i * 7);
+  }
+  BlockHeader spilled;
+  spilled.id = BlockId{1, 1, 3};
+  spilled.on_disk = true;
+  m.ids_on_disk.push_back(spilled);
+  for (const bool has_block : {true, false}) {
+    m.has_block = has_block;
+    std::vector<std::byte> sg = znet::encode_mixed_head(m, m.payload);
+    if (has_block) sg.insert(sg.end(), m.payload.begin(), m.payload.end());
+    EXPECT_EQ(znet::encode_mixed(m), sg) << "has_block " << has_block;
+  }
+}
+
+TEST(NetFrameCodec, PrepareCommitAtEverySplitPointDecodesLikeFeed) {
+  std::vector<std::byte> stream;
+  std::vector<std::size_t> starts;  // offset of each frame in the stream
+  auto append = [&](const std::vector<std::byte>& f) {
+    starts.push_back(stream.size());
+    stream.insert(stream.end(), f.begin(), f.end());
+  };
+  append(znet::encode_hello(small_spec(3, "/tmp/x")));
+  znet::WireMixed m;
+  m.has_block = true;
+  m.block.id = BlockId{0, 1, 2};
+  m.block.bytes = 3000;
+  m.payload.resize(3000);
+  for (std::size_t i = 0; i < m.payload.size(); ++i) {
+    m.payload[i] = static_cast<std::byte>(i * 13 + 1);
+  }
+  append(znet::encode_mixed(m));
+  znet::WireMixed done;
+  done.done = true;
+  append(znet::encode_mixed(done));
+  znet::SessionSummary sum;
+  sum.latency_ns = {7, 8, 9};
+  append(znet::encode_summary(sum));
+  starts.push_back(stream.size());
+
+  std::vector<znet::Frame> want;
+  {
+    znet::FrameDecoder dec;
+    dec.feed(stream.data(), stream.size());
+    while (auto f = dec.next()) want.push_back(std::move(*f));
+  }
+  ASSERT_EQ(want.size(), 4u);
+
+  // Receives stream[from, to) the way the daemon does, in as many reads as
+  // prepare() allows, and pops every frame that completes.
+  auto receive = [&stream](znet::FrameDecoder& dec, std::size_t from,
+                           std::size_t to, std::vector<znet::Frame>& got) {
+    while (from < to) {
+      const std::span<std::byte> space = dec.prepare(to - from);
+      ASSERT_FALSE(space.empty());
+      std::memcpy(space.data(), stream.data() + from, space.size());
+      dec.commit(space.size());
+      from += space.size();
+      while (auto v = dec.next_view()) {
+        got.push_back({v->type, {v->body.begin(), v->body.end()}});
+      }
+    }
+  };
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    znet::FrameDecoder dec;
+    std::vector<znet::Frame> got;
+    receive(dec, 0, split, got);
+    // Once a frame's length is buffered, no read may run past its end.
+    const auto frame_end = std::upper_bound(starts.begin(), starts.end(), split);
+    if (frame_end != starts.end() && split >= *(frame_end - 1) + 4) {
+      EXPECT_EQ(dec.prepare(1 << 20).size(), *frame_end - split)
+          << "split " << split;
+    }
+    receive(dec, split, stream.size(), got);
+    ASSERT_EQ(got.size(), want.size()) << "split " << split;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].type, want[i].type) << "split " << split;
+      EXPECT_EQ(got[i].body, want[i].body) << "split " << split;
+    }
+    EXPECT_EQ(dec.pending_bytes(), 0u);
+  }
+}
+
+TEST(NetFrameCodec, PreviousProtocolHelloIsRejected) {
+  auto wire = znet::encode_hello(small_spec(1, "/tmp/x"));
+  const std::uint32_t zpl1 = 0x5A50'4C31;  // "ZPL1", little-endian on wire
+  for (int i = 0; i < 4; ++i) {
+    wire[5 + static_cast<std::size_t>(i)] =
+        static_cast<std::byte>((zpl1 >> (8 * i)) & 0xFF);
+  }
+  znet::FrameDecoder dec;
+  dec.feed(wire.data(), wire.size());
+  const auto f = dec.next();
+  ASSERT_TRUE(f.has_value());
+  try {
+    (void)znet::decode_hello(f->body);
+    FAIL() << "a ZPL1 hello was accepted";
+  } catch (const znet::FrameError& e) {
+    EXPECT_STREQ(e.what(), "bad hello magic");
+  }
+}
+
+TEST(NetBinding, ScatterGatherFramesSurviveATinySendBuffer) {
+  int sv[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv));
+  const int small = 4096;
+  ASSERT_EQ(0, ::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &small,
+                            sizeof(small)));
+  int sndbuf = 0;
+  socklen_t len = sizeof(sndbuf);
+  ::getsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, &len);
+
+  // Two frames from two concurrent senders: each must arrive whole and in
+  // one piece even though every sendmsg() writes only part of it.
+  std::vector<znet::WireMixed> ms(2);
+  std::vector<std::byte> want;
+  for (std::size_t k = 0; k < ms.size(); ++k) {
+    ms[k].has_block = true;
+    ms[k].producer = static_cast<std::int32_t>(k);
+    ms[k].block.id = BlockId{0, static_cast<std::int32_t>(k), 0};
+    ms[k].block.bytes = 64 * KiB + 3;
+    ms[k].payload.resize(ms[k].block.bytes);
+    for (std::size_t i = 0; i < ms[k].payload.size(); ++i) {
+      ms[k].payload[i] = static_cast<std::byte>(i * 31 + k);
+    }
+    const auto frame = znet::encode_mixed(ms[k]);
+    want.insert(want.end(), frame.begin(), frame.end());
+  }
+  ASSERT_LT(static_cast<std::size_t>(sndbuf), want.size() / 4)
+      << "send buffer too large to force short writes";
+
+  exec::EpollExecutor ex;
+  core::zbody::NetEnv env(ex, core::zbody::NetEnvConfig{}, 1);
+  env.attach_wire(sv[0]);
+  for (const znet::WireMixed& m : ms) {
+    ex.spawn(env.write_frame(znet::encode_mixed_head(m, m.payload), m.payload));
+  }
+  std::vector<std::byte> got;
+  auto slow_reader = [&]() -> sim::Task {
+    std::byte buf[777];
+    while (got.size() < want.size()) {
+      const ssize_t n = ::recv(sv[1], buf, sizeof(buf), 0);
+      if (n > 0) {
+        got.insert(got.end(), buf, buf + n);
+        co_await ex.yield();
+      } else if (n < 0 && errno == EAGAIN) {
+        if (!co_await ex.wait_readable(sv[1])) break;
+      } else {
+        break;
+      }
+    }
+    // A writer still parked here sent bytes beyond its frames; wake it so
+    // the failure shows as a wire error instead of a hang.
+    ex.cancel_fd(sv[0]);
+  };
+  ex.spawn(slow_reader());
+  ex.run();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  EXPECT_TRUE(env.wire_error().empty()) << env.wire_error();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want) << "scatter-gather frames differ from encode_mixed";
+}
+
 // -------------------------------------------------- epoll executor contract --
 
 TEST(EpollExecutor, TimersFireInDeadlineOrder) {
@@ -602,4 +780,54 @@ TEST(NetService, StopDrainsIdleConnectionsPromptly) {
   daemon.join();  // hangs here (until the CI timeout) if drain is broken
   ::close(fd);
   SUCCEED();
+}
+
+TEST(NetService, StopInTheSameLoopTurnAsAnAcceptDrainsThatSession) {
+  // The first analyzed block parks the daemon's loop thread inside the hook.
+  // Meanwhile a second connection completes in the kernel's accept queue and
+  // the stop request lands on the eventfd, so the next epoll_wait reports
+  // both in one turn, listener first: the acceptor accepts, then the drain
+  // runs before the new session's first resume. That session must still be
+  // shut down, or it waits for a hello forever and run() never returns.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  bool first = true;
+  znet::ServerOptions so;
+  so.on_analyzed = [&](std::uint64_t, int, const BlockHeader&) {
+    if (!first) return;
+    first = false;
+    parked.set_value();
+    released.wait();
+  };
+  znet::ZipperdServer server(std::move(so));
+  std::thread daemon([&server] { server.run(); });
+
+  std::thread client([port = server.port()] {
+    znet::ClientOptions co;
+    co.port = port;
+    co.spec.producers = 1;
+    co.spec.consumers = 1;
+    co.spec.steps = 4;
+    co.spec.block_bytes = 4 * KiB;
+    co.spec.step_bytes = 8 * KiB;
+    (void)znet::run_client_load(co);  // fails: the daemon stops under it
+  });
+  parked.get_future().wait();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(0,
+            ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
+  server.request_stop();
+  release.set_value();
+  daemon.join();  // hangs here if the session accepted in that turn leaks
+  client.join();
+  ::close(fd);
+  EXPECT_EQ(server.stats().sessions_accepted, 2u)
+      << "the stop was handled before the accept: ordering not forced";
 }

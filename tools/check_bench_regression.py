@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Guard against DES-kernel micro-benchmark regressions.
+"""Guard against micro-benchmark regressions in the DES kernel, the
+executors and zipperd's per-block wire path (checksum, frame encode/decode).
 
 Runs `micro_components --benchmark_format=json` for every kernel named in
 the checked-in baseline (BENCH_sim.json, the `after_M_per_s` column) and
