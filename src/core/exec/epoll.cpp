@@ -59,8 +59,10 @@ void EpollExecutor::spawn(sim::Task t) {
 }
 
 void EpollExecutor::arm_io(IoAwaiter* aw, std::coroutine_handle<> h) {
-  auto [it, fresh] = fd_waits_.try_emplace(aw->fd);
-  FdWait& w = it->second;
+  FdWait& w = fd_waits_.try_emplace(aw->fd).first->second;
+  const std::uint32_t want =
+      w.events | (aw->write ? EPOLLOUT : EPOLLIN | EPOLLRDHUP);
+  if (want != w.events) set_interest(aw->fd, w, want);
   if (aw->write) {
     assert(!w.writer && "two coroutines awaiting writability of one fd");
     w.writer = aw;
@@ -70,13 +72,11 @@ void EpollExecutor::arm_io(IoAwaiter* aw, std::coroutine_handle<> h) {
     w.reader = aw;
     w.reader_h = h;
   }
-  update_epoll(aw->fd, w, !fresh);
+  ++fd_waiters_;
 }
 
-void EpollExecutor::update_epoll(int fd, FdWait& w, bool existed) {
-  std::uint32_t events = 0;
-  if (w.reader) events |= EPOLLIN | EPOLLRDHUP;
-  if (w.writer) events |= EPOLLOUT;
+void EpollExecutor::set_interest(int fd, FdWait& w, std::uint32_t events) {
+  ++counters_.epoll_ctl;
   if (events == 0) {
     ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
     fd_waits_.erase(fd);
@@ -85,10 +85,12 @@ void EpollExecutor::update_epoll(int fd, FdWait& w, bool existed) {
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
-  if (::epoll_ctl(epfd_, existed ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev) <
+  if (::epoll_ctl(epfd_, w.events ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev) <
       0) {
+    if (w.events == 0) fd_waits_.erase(fd);
     throw_errno("epoll_ctl");
   }
+  w.events = events;
 }
 
 void EpollExecutor::dispatch_fd(int fd, std::uint32_t events) {
@@ -96,19 +98,33 @@ void EpollExecutor::dispatch_fd(int fd, std::uint32_t events) {
   if (it == fd_waits_.end()) return;
   FdWait& w = it->second;
   // Errors and hangups wake both directions: the parked coroutine retries
-  // its non-blocking syscall and observes the failure itself.
+  // its non-blocking syscall and observes the failure itself. A woken
+  // direction stays registered for the waiter's next park; one that fired
+  // with nobody waiting is dropped, or level-triggered epoll would report
+  // it again on every turn.
   const bool err = events & (EPOLLERR | EPOLLHUP);
-  if (w.reader && (err || (events & (EPOLLIN | EPOLLRDHUP)))) {
-    schedule(w.reader_h);
-    w.reader = nullptr;
-    w.reader_h = {};
+  std::uint32_t keep = w.events;
+  if (err || (events & (EPOLLIN | EPOLLRDHUP))) {
+    if (w.reader) {
+      schedule(w.reader_h);
+      w.reader = nullptr;
+      w.reader_h = {};
+      --fd_waiters_;
+    } else {
+      keep &= ~(EPOLLIN | EPOLLRDHUP);
+    }
   }
-  if (w.writer && (err || (events & EPOLLOUT))) {
-    schedule(w.writer_h);
-    w.writer = nullptr;
-    w.writer_h = {};
+  if (err || (events & EPOLLOUT)) {
+    if (w.writer) {
+      schedule(w.writer_h);
+      w.writer = nullptr;
+      w.writer_h = {};
+      --fd_waiters_;
+    } else {
+      keep &= ~EPOLLOUT;
+    }
   }
-  update_epoll(fd, w, true);
+  if (keep != w.events) set_interest(fd, w, keep);
 }
 
 void EpollExecutor::cancel_fd(int fd) {
@@ -118,16 +134,14 @@ void EpollExecutor::cancel_fd(int fd) {
   if (w.reader) {
     w.reader->ok = false;
     schedule(w.reader_h);
-    w.reader = nullptr;
-    w.reader_h = {};
+    --fd_waiters_;
   }
   if (w.writer) {
     w.writer->ok = false;
     schedule(w.writer_h);
-    w.writer = nullptr;
-    w.writer_h = {};
+    --fd_waiters_;
   }
-  update_epoll(fd, w, true);
+  set_interest(fd, w, 0);
 }
 
 void EpollExecutor::expire_timers() {
@@ -166,6 +180,28 @@ void EpollExecutor::drain_ready() {
   }
 }
 
+void EpollExecutor::arm_timer() {
+  // Timer deadlines are absolute CLOCK_MONOTONIC via TFD_TIMER_ABSTIME, so
+  // ns-granular sleeps don't round through epoll_wait's millisecond timeout.
+  const sim::Time want = timers_.empty() ? -1 : timers_.top().deadline;
+  if (want == armed_deadline_) return;
+  itimerspec its{};
+  if (want >= 0) {
+    const sim::Time abs = want + t0_;
+    its.it_value.tv_sec = abs / 1'000'000'000;
+    its.it_value.tv_nsec = abs % 1'000'000'000;
+    // A deadline of exactly 0 would disarm; bump to the smallest future.
+    if (its.it_value.tv_sec == 0 && its.it_value.tv_nsec == 0) {
+      its.it_value.tv_nsec = 1;
+    }
+  }
+  ++counters_.timerfd_settime;
+  if (::timerfd_settime(timerfd_, TFD_TIMER_ABSTIME, &its, nullptr) < 0) {
+    throw_errno("timerfd_settime");
+  }
+  armed_deadline_ = want;
+}
+
 void EpollExecutor::run() {
   constexpr int kMaxEvents = 128;
   epoll_event evs[kMaxEvents];
@@ -174,27 +210,13 @@ void EpollExecutor::run() {
     sweep_finished_roots();
     if (roots_.empty()) return;
 
-    // Park on epoll until an fd or the nearest timer fires. Timer deadlines
-    // are absolute CLOCK_MONOTONIC via TFD_TIMER_ABSTIME, so ns-granular
-    // sleeps don't round through epoll_wait's millisecond timeout.
-    if (timers_.empty() && fd_waits_.empty()) {
+    // Park on epoll until an fd or the nearest timer fires.
+    if (timers_.empty() && fd_waiters_ == 0) {
       throw std::runtime_error(
           "EpollExecutor: deadlock — " + std::to_string(roots_.size()) +
           " root coroutine(s) parked with no timer or fd to wake them");
     }
-    itimerspec its{};
-    if (!timers_.empty()) {
-      const sim::Time abs = timers_.top().deadline + t0_;
-      its.it_value.tv_sec = abs / 1'000'000'000;
-      its.it_value.tv_nsec = abs % 1'000'000'000;
-      // A deadline of exactly 0 would disarm; bump to the smallest future.
-      if (its.it_value.tv_sec == 0 && its.it_value.tv_nsec == 0) {
-        its.it_value.tv_nsec = 1;
-      }
-    }
-    if (::timerfd_settime(timerfd_, TFD_TIMER_ABSTIME, &its, nullptr) < 0) {
-      throw_errno("timerfd_settime");
-    }
+    arm_timer();
 
     int n = ::epoll_wait(epfd_, evs, kMaxEvents, -1);
     if (n < 0) {
@@ -205,7 +227,8 @@ void EpollExecutor::run() {
       if (evs[i].data.fd == timerfd_) {
         std::uint64_t ticks = 0;
         [[maybe_unused]] ssize_t r =
-            ::read(timerfd_, &ticks, sizeof(ticks));  // rearm; value unused
+            ::read(timerfd_, &ticks, sizeof(ticks));  // value unused
+        armed_deadline_ = -1;  // an expired timerfd holds no deadline
         continue;
       }
       dispatch_fd(evs[i].data.fd, evs[i].events);

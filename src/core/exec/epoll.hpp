@@ -16,6 +16,21 @@
 //   wait_readable(fd) / wait_writable(fd) — suspend until epoll readiness;
 //   resume with `false` after cancel_fd() (used for shutdown wake-ups).
 //
+// Interest model: a direction an fd was waited on stays registered in the
+// epoll set after its waiter wakes, so a coroutine that parks again on the
+// direction it was just woken for (the common recv/EAGAIN loop) costs no
+// epoll_ctl. The registration narrows only when readiness arrives that no
+// waiter wants, or on cancel_fd(). The set is level-triggered on purpose:
+// readiness that lands while nobody waits is reported again on the next
+// epoll_wait instead of being lost, so a waiter that parks after it still
+// wakes (an edge-triggered loop must re-check the fd itself before parking).
+// Because registrations outlive their waiters, cancel_fd() before close() is
+// required for EVERY fd ever waited on: closing first leaves a stale entry,
+// and a new fd that reuses the number would never be registered.
+//
+// The timerfd is re-armed only when the earliest deadline changes, so a loop
+// without timers makes no timerfd_settime calls.
+//
 // Threading: the loop, every primitive, and every spawned coroutine run on
 // the thread that calls run(). Nothing here is thread-safe; cross-thread
 // wake-ups go through an eventfd watched with wait_readable() (a write() is
@@ -96,7 +111,8 @@ class EpollExecutor {
   IoAwaiter wait_writable(int fd) noexcept { return {this, fd, true}; }
 
   /// Wakes any coroutine parked on `fd` with a `false` result and drops the
-  /// fd from the epoll set. Call before close()ing a watched fd.
+  /// fd from the epoll set. Call before close()ing any fd that was ever
+  /// waited on, even if nothing waits on it now.
   void cancel_fd(int fd);
 
   /// Runs the loop until every root coroutine finished. A root exception
@@ -104,6 +120,14 @@ class EpollExecutor {
   void run();
 
   std::size_t roots_alive() const noexcept { return roots_.size(); }
+
+  /// Event-loop bookkeeping syscalls made so far; the interest and timer
+  /// models above are what keep these low.
+  struct LoopCounters {
+    std::uint64_t epoll_ctl = 0;
+    std::uint64_t timerfd_settime = 0;
+  };
+  const LoopCounters& counters() const noexcept { return counters_; }
 
  private:
   struct TimerEntry {
@@ -119,11 +143,15 @@ class EpollExecutor {
     IoAwaiter* writer = nullptr;
     std::coroutine_handle<> reader_h{};
     std::coroutine_handle<> writer_h{};
+    std::uint32_t events = 0;  // registered in the epoll set; never 0 once
+                               // arm_io returns (an entry with none is erased)
   };
 
   void arm_io(IoAwaiter* aw, std::coroutine_handle<> h);
-  void update_epoll(int fd, FdWait& w, bool existed);
+  /// Re-registers `fd` with `events`; 0 drops it from the set and the map.
+  void set_interest(int fd, FdWait& w, std::uint32_t events);
   void dispatch_fd(int fd, std::uint32_t events);
+  void arm_timer();
   void expire_timers();
   void sweep_finished_roots();
   void drain_ready();
@@ -136,7 +164,13 @@ class EpollExecutor {
                       std::greater<TimerEntry>>
       timers_;
   std::uint64_t timer_seq_ = 0;
+  sim::Time armed_deadline_ = -1;  // what the timerfd holds; -1 = disarmed
   std::unordered_map<int, FdWait> fd_waits_;
+  /// Coroutines parked in wait_readable/wait_writable. Registrations outlive
+  /// their waiters, so fd_waits_ being non-empty does not mean a root can
+  /// still be woken; this count does.
+  std::size_t fd_waiters_ = 0;
+  LoopCounters counters_;
   std::vector<sim::Task::Handle> roots_;
 };
 

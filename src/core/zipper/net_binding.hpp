@@ -12,7 +12,9 @@
 //     wait_writable). The spill path writes real files
 //     into the session's shared spill directory — the "PFS" the daemon's
 //     reader fetches degraded blocks from, so the resilience ladder's
-//     exactly-once guarantee holds across processes.
+//     exactly-once guarantee holds across processes. The directory is
+//     created by the first spill, so a session that never spills does no
+//     filesystem work at all.
 //   * daemon role — the session demux decodes frames and deliver_mixed()s
 //     them into per-consumer EpChannels; recv_mixed is a channel recv. EOF
 //     or a frame error closes the queues and the body unwinds exactly like
@@ -245,8 +247,20 @@ class NetEnv {
   /// Non-empty once a spill/preserve file operation failed.
   const std::string& io_error() const noexcept { return io_error_; }
 
+  /// True once spill_write() created cfg_.spill_dir; its owner removes it.
+  bool made_spill_dir() const noexcept { return made_spill_dir_; }
+
   sim::Task spill_write(int p, const ItemT& it) {
     (void)p;
+    if (!made_spill_dir_) {
+      std::error_code ec;
+      std::filesystem::create_directories(cfg_.spill_dir, ec);
+      if (ec) {
+        if (io_error_.empty()) io_error_ = "spill dir: " + ec.message();
+        co_return;
+      }
+      made_spill_dir_ = true;
+    }
     try {
       rtdetail::write_file(rtdetail::spill_path(cfg_.spill_dir, it.h.id),
                            it.payload ? it.payload->payload
@@ -330,6 +344,7 @@ class NetEnv {
   int wire_fd_ = -1;
   std::string wire_error_;
   std::string io_error_;
+  bool made_spill_dir_ = false;
   bool stopped_ = false;
   std::vector<std::unique_ptr<exec::EpChannel<MixedT>>> nets_;
 };

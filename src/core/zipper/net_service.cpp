@@ -1,6 +1,7 @@
 #include "core/zipper/net_service.hpp"
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/eventfd.h>
@@ -11,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <set>
 #include <system_error>
 #include <utility>
@@ -66,6 +68,24 @@ std::shared_ptr<const chaos::ChaosEngine> chaos_from(const SessionSpec& spec) {
   return std::make_shared<chaos::ChaosEngine>(
       cs, static_cast<int>(spec.producers), static_cast<int>(spec.consumers),
       spec.horizon_s);
+}
+
+/// Both service loops free and allocate block buffers at line rate. glibc
+/// returns the top of the heap to the kernel whenever a few hundred KiB of
+/// it is free, and the next allocations fault those pages in again; how
+/// often that happens depends on the order frees land in, so identical
+/// 64 KiB-block runs swung up to 2x in throughput. A service process keeps
+/// its freed heap pages instead, at the cost of peak RSS: a page once
+/// touched stays resident. Fixing the trim threshold also fixes the mmap
+/// threshold, so it is raised above every per-session buffer (a
+/// FrameDecoder holds up to kReadBytes plus one frame) to keep those off
+/// mmap/munmap.
+void keep_freed_heap() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    ::mallopt(M_TRIM_THRESHOLD, 256 << 20);
+    ::mallopt(M_MMAP_THRESHOLD, 4 << 20);
+  });
 }
 
 void set_nodelay(int fd) {
@@ -144,6 +164,7 @@ struct ZipperdServer::Session {
 };
 
 ZipperdServer::ZipperdServer(ServerOptions opts) : opts_(std::move(opts)) {
+  keep_freed_heap();
   listen_fd_ =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) throw_errno("socket");
@@ -521,13 +542,9 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
   const std::filesystem::path sdir =
       st.spill_root / ("s" + std::to_string(::getpid()) + "_" +
                        std::to_string(sid));
+  // The env creates the directory on its first spill; the daemon only reads
+  // it for blocks that were spilled, so none need exist before then.
   spec.spill_dir = sdir.string();
-  std::error_code fec;
-  std::filesystem::create_directories(sdir, fec);
-  if (fec) {
-    session_failed(st, sid, "spill dir: " + fec.message());
-    co_return;
-  }
 
   std::string err;
   const int fd =
@@ -625,6 +642,9 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
       err = env.wire_error();
     }
 
+    // The client's own spill failure is the root cause of the daemon's
+    // failed fetch, so it is reported first.
+    if (err.empty() && !env.io_error().empty()) err = env.io_error();
     if (err.empty() && !sum.ok) {
       err = sum.error.empty() ? "daemon reported failure" : sum.error;
     }
@@ -632,7 +652,12 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
       err = "daemon analyzed " + std::to_string(sum.blocks_analyzed) +
             " of " + std::to_string(spec.expected_blocks());
     }
-    if (err.empty() && !env.io_error().empty()) err = env.io_error();
+    // A summary means the daemon's last fetch is done; without one the
+    // session has failed either way.
+    if (env.made_spill_dir()) {
+      std::error_code fec;
+      std::filesystem::remove_all(sdir, fec);
+    }
 
     exec::AggregateStats ag{};
     body.aggregate_into(ag);
@@ -646,7 +671,6 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
 
   ex.cancel_fd(fd);
   ::close(fd);
-  std::filesystem::remove_all(sdir, fec);
   if (err.empty()) {
     ++st.res.sessions_ok;
   } else {
@@ -673,6 +697,7 @@ std::uint64_t ClientResult::latency_percentile_ns(double q) const {
 }
 
 ClientResult run_client_load(const ClientOptions& opts) {
+  keep_freed_heap();
   exec::EpollExecutor ex;
   ClientState st;
   st.opts = &opts;

@@ -74,7 +74,8 @@ struct ServerStats {
 class ZipperdServer {
  public:
   /// Binds and listens (throws std::system_error on failure); port() is
-  /// valid from here on, before run() is entered.
+  /// valid from here on, before run() is entered. Sets the process's heap
+  /// policy on first use, like run_client_load (docs/service.md).
   explicit ZipperdServer(ServerOptions opts);
   ~ZipperdServer();
   ZipperdServer(const ZipperdServer&) = delete;
@@ -164,6 +165,8 @@ struct ClientResult {
 /// Runs the whole load on the calling thread's own epoll loop; returns when
 /// every session finished (each either verified ok or recorded as failed —
 /// connection errors and broken wires fail the one session, never throw).
+/// On first use in a process it sets glibc's trim and mmap thresholds so
+/// freed block buffers stay in the heap (docs/service.md, "Measurement").
 ClientResult run_client_load(const ClientOptions& opts);
 
 }  // namespace zipper::core::zbody::net

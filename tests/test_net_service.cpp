@@ -13,23 +13,30 @@
 // corruption, protocol version), scatter-gather writes under a tiny send
 // buffer, the chaos ladder against a live daemon (fault window ->
 // retry/backoff -> degrade to the shared spill directory), peer resets
-// mid-block, shutdown racing an accept, and the EpollExecutor primitive
-// contract (timer ordering, channel backpressure, deadlock detection).
+// mid-block, shutdown racing an accept, the lazily created spill directory,
+// and the EpollExecutor contract (timer ordering, channel backpressure,
+// deadlock detection, the epoll interest model, timerfd re-arming).
 //
 // Flake-proofing contract for CI: every server here binds port 0 and the
 // client reads the kernel-assigned port back from the server object — no
 // fixed ports, no startup sleeps (the listener is live when the constructor
 // returns).
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <mutex>
 #include <map>
 #include <set>
 #include <thread>
@@ -67,9 +74,9 @@ constexpr int kBlocksPerStep = 6;
 constexpr std::uint64_t kExpectedBlocks =
     static_cast<std::uint64_t>(kP) * kSteps * kBlocksPerStep;
 
-std::set<BlockId> expected_ids() {
+std::set<BlockId> expected_ids(int steps = kSteps) {
   std::set<BlockId> ids;
-  for (int s = 0; s < kSteps; ++s)
+  for (int s = 0; s < steps; ++s)
     for (int p = 0; p < kP; ++p)
       for (int b = 0; b < kBlocksPerStep; ++b) ids.insert(BlockId{s, p, b});
   return ids;
@@ -148,6 +155,7 @@ struct NetCase {
   bool enable_steal = false;
   std::uint64_t analysis_ns = 0;
   std::uint32_t steps = kSteps;
+  fs::path spill_root;  // empty: the client's default
 };
 
 NetOutcome run_net(const NetCase& tc) {
@@ -176,6 +184,7 @@ NetOutcome run_net(const NetCase& tc) {
   co.spec.chaos_seed = tc.chaos_seed;
   co.spec.horizon_s = tc.horizon_s;
   co.spec.enable_steal = tc.enable_steal;
+  co.spill_root = tc.spill_root;
 
   std::thread daemon([&server] { server.run(); });
   out.res = znet::run_client_load(co);
@@ -220,6 +229,56 @@ znet::SessionSpec small_spec(std::uint64_t id, const fs::path& spill) {
   spec.step_bytes = 8 * KiB;
   spec.spill_dir = spill.string();
   return spec;
+}
+
+/// A fresh, empty per-test directory under the system temp dir.
+fs::path fresh_dir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() /
+                       (name + "_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  return dir;
+}
+
+void send_byte(int fd) {
+  const char c = 'x';
+  EXPECT_EQ(1, ::send(fd, &c, 1, MSG_NOSIGNAL));
+}
+
+/// Reads whatever is buffered on a non-blocking socket; returns the count.
+int drain(int fd) {
+  char buf[64];
+  int total = 0;
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    total += static_cast<int>(n);
+  }
+  return total;
+}
+
+/// Loop-side watchdog for the interest-model tests: a coroutine parked on
+/// an fd whose epoll registration was lost never wakes, so unless `done` is
+/// set within two seconds this cancels `fd` and the waiter resumes with
+/// `false` instead of hanging the test.
+sim::Task io_watchdog(exec::EpollExecutor& ex, const bool& done, int fd) {
+  const sim::Time until = ex.now() + 2 * sim::kSecond;
+  while (!done && ex.now() < until) {
+    co_await ex.sleep_until(ex.now() + sim::kMillisecond);
+  }
+  if (!done) ex.cancel_fd(fd);
+}
+
+/// The resilience-ladder geometry with real socket stalls, so blocks take
+/// the degraded path through the lazily created spill directory.
+NetCase spilling_case(const fs::path& spill_root) {
+  NetCase tc;
+  tc.steps = 20;
+  tc.fault = "3x8@0.3";
+  tc.enable_steal = true;
+  tc.chaos_seed = 5;
+  tc.horizon_s = 0.02;
+  tc.analysis_ns = 1'500'000;
+  tc.chaos_stall = true;
+  tc.spill_root = spill_root;
+  return tc;
 }
 
 }  // namespace
@@ -638,6 +697,161 @@ TEST(EpollExecutor, DeadlockedLoopThrowsInsteadOfHanging) {
   EXPECT_THROW(ex.run(), std::runtime_error);
 }
 
+TEST(EpollExecutor, FdStaysWaitableAcrossRewaitsAndUnwantedReadiness) {
+  int sv[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv));
+  exec::EpollExecutor ex;
+  bool done = false;
+  int got = 0;
+  std::uint64_t ctl_after_rewaits = 0;
+  auto send_later = [&]() -> sim::Task {
+    co_await ex.sleep_until(ex.now() + sim::kMillisecond);
+    send_byte(sv[1]);
+  };
+  auto reader = [&]() -> sim::Task {
+    // Woken, then parked again on the same direction: the registration
+    // outlives each wake, so only the first wait reaches epoll_ctl.
+    for (int k = 0; k < 3; ++k) {
+      ex.spawn(send_later());
+      if (!co_await ex.wait_readable(sv[0])) co_return;
+      got += drain(sv[0]);
+    }
+    ctl_after_rewaits = ex.counters().epoll_ctl;
+    // Readiness that lands while nobody waits: the loop drops the
+    // registration, and the next wait must register the fd again.
+    send_byte(sv[1]);
+    co_await ex.sleep_until(ex.now() + 5 * sim::kMillisecond);
+    if (!co_await ex.wait_readable(sv[0])) co_return;
+    got += drain(sv[0]);
+    done = true;
+  };
+  ex.spawn(reader());
+  ex.spawn(io_watchdog(ex, done, sv[0]));
+  ex.run();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  EXPECT_TRUE(done) << "a wait after unwanted readiness never woke";
+  EXPECT_EQ(got, 4);
+  EXPECT_EQ(ctl_after_rewaits, 1u)
+      << "parking again on a registered direction made epoll_ctl calls";
+  EXPECT_EQ(ex.counters().epoll_ctl, 3u)
+      << "expected ADD, DEL on the unwanted readiness, ADD on the next wait";
+}
+
+TEST(EpollExecutor, ReusedFdNumberIsWaitableAfterCancelAndClose) {
+  int a[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, a));
+  const int num = a[0];
+  exec::EpollExecutor ex;
+  // Woken once and never parked again: the registration stays behind.
+  auto once = [&]() -> sim::Task {
+    send_byte(a[1]);
+    (void)co_await ex.wait_readable(a[0]);
+  };
+  ex.spawn(once());
+  ex.run();
+  ex.cancel_fd(a[0]);
+  ::close(a[0]);
+  ::close(a[1]);
+
+  int b[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, b));
+  if (b[0] != num) {
+    ASSERT_EQ(num, ::dup2(b[0], num));
+    ::close(b[0]);
+    b[0] = num;
+  }
+  bool done = false;
+  auto send_later = [&]() -> sim::Task {
+    co_await ex.sleep_until(ex.now() + sim::kMillisecond);
+    send_byte(b[1]);
+  };
+  auto reader = [&]() -> sim::Task {
+    ex.spawn(send_later());
+    done = co_await ex.wait_readable(b[0]);
+  };
+  ex.spawn(reader());
+  ex.spawn(io_watchdog(ex, done, b[0]));
+  ex.run();
+  ex.cancel_fd(b[0]);
+  ::close(b[0]);
+  ::close(b[1]);
+  EXPECT_TRUE(done) << "a stale registration hid the reused fd from epoll";
+}
+
+TEST(EpollExecutor, DeadlockIsDetectedWhileIdleSocketsStayRegistered) {
+  // Two registrations nobody waits on: one readable, one idle. Every root
+  // is parked on a channel, so nothing can wake them and run() must throw
+  // at once instead of blocking in epoll_wait on the idle socket.
+  int busy[2];
+  int idle[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, busy));
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, idle));
+  exec::EpollExecutor ex;
+  exec::EpChannel<int> ch(ex);
+  auto stuck = [&](int fd, int peer, bool drain_it) -> sim::Task {
+    send_byte(peer);
+    (void)co_await ex.wait_readable(fd);
+    if (drain_it) drain(fd);
+    (void)co_await ch.recv();  // nothing will ever send or close
+  };
+  ex.spawn(stuck(busy[0], busy[1], false));
+  ex.spawn(stuck(idle[0], idle[1], true));
+
+  // If run() does block, wake it from outside after two seconds so the
+  // failure shows as an assertion instead of a hang.
+  std::mutex m;
+  std::condition_variable cv;
+  bool finished = false;
+  bool fired = false;
+  std::thread watchdog([&] {
+    std::unique_lock lk(m);
+    if (!cv.wait_for(lk, std::chrono::seconds(2), [&] { return finished; })) {
+      fired = true;
+      send_byte(idle[1]);
+    }
+  });
+  EXPECT_THROW(ex.run(), std::runtime_error);
+  {
+    std::lock_guard lk(m);
+    finished = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  EXPECT_FALSE(fired) << "run() blocked on a registration nobody waits on";
+  for (int fd : {busy[0], busy[1], idle[0], idle[1]}) ::close(fd);
+}
+
+TEST(EpollExecutor, TimerfdIsSetOnlyWhenTheEarliestDeadlineChanges) {
+  int sv[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv));
+  exec::EpollExecutor ex;
+  bool slept = false;
+  auto sleeper = [&]() -> sim::Task {
+    co_await ex.sleep_until(ex.now() + 20 * sim::kMillisecond);
+    slept = true;
+  };
+  // Loop turns that wake on an fd leave the pending deadline unchanged.
+  int rounds = 0;
+  auto pinger = [&]() -> sim::Task {
+    for (; rounds < 5; ++rounds) {
+      send_byte(sv[1]);
+      if (!co_await ex.wait_readable(sv[0])) co_return;
+      drain(sv[0]);
+    }
+  };
+  ex.spawn(sleeper());
+  ex.spawn(pinger());
+  ex.run();
+  ex.cancel_fd(sv[0]);
+  ::close(sv[0]);
+  ::close(sv[1]);
+  EXPECT_TRUE(slept);
+  EXPECT_EQ(rounds, 5);
+  EXPECT_EQ(ex.counters().timerfd_settime, 1u)
+      << "the timerfd was re-armed on turns where its deadline did not move";
+}
+
 // ------------------------------------------------------- loopback coupling --
 
 TEST(NetService, ExactlyOnceFifoConservationDifferentialVsVirtualTime) {
@@ -716,6 +930,138 @@ TEST(NetService, ChaosSocketStallsKeepExactlyOnce) {
                                             ? "no error detail"
                                             : nt.res.errors.front());
   EXPECT_EQ(nt.res.blocks_analyzed, nt.res.blocks_expected);
+}
+
+TEST(NetService, SessionsThatNeverSpillCreateNoSpillDirectory) {
+  // perfbench's svc_sessions geometry: one step of 16 KiB in 8 KiB blocks.
+  const fs::path root = fresh_dir("zipper_lazy_spill");
+  znet::ServerOptions so;
+  // Runs on the daemon thread while the owning client session is live; the
+  // test reads both counters after join().
+  std::uint64_t checks = 0;
+  std::uint64_t entries_seen = 0;
+  so.on_analyzed = [&](std::uint64_t, int, const BlockHeader&) {
+    ++checks;
+    std::error_code ec;
+    for (fs::directory_iterator it(root, ec), end; !ec && it != end;
+         it.increment(ec)) {
+      ++entries_seen;
+    }
+  };
+  znet::ZipperdServer server(std::move(so));
+  std::thread daemon([&server] { server.run(); });
+
+  znet::ClientOptions co;
+  co.port = server.port();
+  co.sessions = 50;
+  co.concurrency = 4;
+  co.spill_root = root;
+  co.spec.producers = 2;
+  co.spec.consumers = 1;
+  co.spec.steps = 1;
+  co.spec.step_bytes = 16 * KiB;
+  co.spec.block_bytes = 8 * KiB;
+  const znet::ClientResult res = znet::run_client_load(co);
+  server.request_stop();
+  daemon.join();
+
+  EXPECT_EQ(res.sessions_ok, 50u) << (res.errors.empty() ? "no error detail"
+                                                         : res.errors.front());
+  EXPECT_EQ(res.blocks_from_disk, 0u);
+  EXPECT_EQ(checks, res.blocks_expected);
+  EXPECT_EQ(entries_seen, 0u)
+      << "a session that never spilled created its spill directory";
+  EXPECT_TRUE(fs::is_empty(root)) << "a session directory was left behind";
+  fs::remove_all(root);
+}
+
+TEST(NetService, SpillingSessionCreatesAndRemovesItsSpillDirectory) {
+  const NetCase tc = spilling_case(fresh_dir("zipper_spill_ladder"));
+  const NetOutcome nt = run_net(tc);
+  ASSERT_EQ(nt.res.sessions_ok, 1u) << (nt.res.errors.empty()
+                                            ? "no error detail"
+                                            : nt.res.errors.front());
+  EXPECT_EQ(nt.res.blocks_analyzed, nt.res.blocks_expected);
+  EXPECT_EQ(nt.res.blocks_from_network + nt.res.blocks_from_disk,
+            nt.res.blocks_analyzed);
+  ASSERT_EQ(nt.analyzed.size(), 1u);
+  EXPECT_EQ(nt.analyzed.begin()->second, expected_ids(20))
+      << "exactly once through the spill path";
+  EXPECT_GT(nt.res.blocks_from_disk, 0u) << "nothing took the spill path";
+  EXPECT_TRUE(fs::is_empty(tc.spill_root))
+      << "the session's spill directory was left behind";
+  fs::remove_all(tc.spill_root);
+}
+
+TEST(NetService, SpillDirectoryThatCannotBeCreatedFailsTheSession) {
+  // The same spilling run with spill_root under a regular file: the first
+  // spill cannot create the session directory, and that session fails with
+  // the spill-dir error rather than the daemon's failed fetch.
+  const fs::path dir = fresh_dir("zipper_spill_blocked");
+  fs::create_directories(dir);
+  const fs::path file = dir / "not_a_dir";
+  { std::ofstream(file) << "x"; }
+  const NetOutcome nt = run_net(spilling_case(file / "spill"));
+  EXPECT_EQ(nt.res.sessions_ok, 0u);
+  ASSERT_EQ(nt.res.sessions_failed, 1u);
+  ASSERT_FALSE(nt.res.errors.empty());
+  EXPECT_NE(nt.res.errors.front().find("spill dir: "), std::string::npos)
+      << nt.res.errors.front();
+  fs::remove_all(dir);
+}
+
+namespace {
+
+/// Exits 0 when a 2 MiB allocation comes from the heap rather than a
+/// mapping of its own, and freeing it gives no heap pages back.
+[[noreturn]] void exit_zero_if_freed_heap_is_kept() {
+  const struct mallinfo2 before = ::mallinfo2();
+  void* p = std::malloc(2 << 20);
+  static_cast<volatile char*>(p)[0] = 1;  // keeps the pair from being elided
+  const struct mallinfo2 held = ::mallinfo2();
+  std::free(p);
+  const struct mallinfo2 after = ::mallinfo2();
+  std::_Exit(held.hblks == before.hblks && after.arena >= held.arena ? 0 : 1);
+}
+
+}  // namespace
+
+TEST(NetServiceDeathTest, ServiceEntryPointsKeepFreedHeapPages) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's allocator replaces glibc malloc";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "the sanitizer's allocator replaces glibc malloc";
+#endif
+#endif
+  // The heap policy is process-wide and set once, so each entry point is
+  // checked in a freshly executed child that has not run any other test.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        znet::ZipperdServer server{znet::ServerOptions{}};
+        exit_zero_if_freed_heap_is_kept();
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(
+      {
+        // A port nothing listens on: the one session fails at connect.
+        const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        ::bind(probe, reinterpret_cast<sockaddr*>(&addr), len);
+        ::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len);
+        ::close(probe);
+        znet::ClientOptions co;
+        co.port = ntohs(addr.sin_port);
+        co.spill_root = fresh_dir("zipper_heap_policy");
+        (void)znet::run_client_load(co);
+        fs::remove_all(co.spill_root);
+        exit_zero_if_freed_heap_is_kept();
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(NetService, PeerResetMidBlockFailsOneSessionNotTheDaemon) {

@@ -13,7 +13,6 @@
 // block count equal to producers x steps x blocks-per-step, no wire errors.
 // CI's service job asserts on exactly this.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -21,6 +20,7 @@
 #include "core/sched/sched.hpp"
 #include "core/zipper/net_service.hpp"
 #include "opt/adaptive.hpp"
+#include "parse_number.hpp"
 
 namespace {
 
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     const bool has_next = i + 1 < argc;
     if (a == "--port" && has_next) {
-      opts.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      if (!parse_number(argv[++i], opts.port)) return usage(argv[0]);
     } else if (a == "--port-file" && has_next) {
       const int p = read_port_file(argv[++i]);
       if (p <= 0 || p > 65535) {
@@ -66,19 +66,21 @@ int main(int argc, char** argv) {
       }
       opts.port = static_cast<std::uint16_t>(p);
     } else if (a == "--sessions" && has_next) {
-      opts.sessions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_number(argv[++i], opts.sessions)) return usage(argv[0]);
     } else if (a == "--concurrency" && has_next) {
-      opts.concurrency = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_number(argv[++i], opts.concurrency)) return usage(argv[0]);
     } else if (a == "--producers" && has_next) {
-      opts.spec.producers = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!parse_number(argv[++i], opts.spec.producers)) return usage(argv[0]);
     } else if (a == "--consumers" && has_next) {
-      opts.spec.consumers = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!parse_number(argv[++i], opts.spec.consumers)) return usage(argv[0]);
     } else if (a == "--steps" && has_next) {
-      opts.spec.steps = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!parse_number(argv[++i], opts.spec.steps)) return usage(argv[0]);
     } else if (a == "--block-bytes" && has_next) {
-      opts.spec.block_bytes = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_number(argv[++i], opts.spec.block_bytes)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--step-bytes" && has_next) {
-      opts.spec.step_bytes = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_number(argv[++i], opts.spec.step_bytes)) return usage(argv[0]);
     } else if (a == "--route" && has_next) {
       const auto r = zipper::core::sched::parse_route(argv[++i]);
       if (!r) return usage(argv[0]);
@@ -88,9 +90,9 @@ int main(int argc, char** argv) {
     } else if (a == "--fault" && has_next) {
       opts.spec.fault = argv[++i];
     } else if (a == "--chaos-seed" && has_next) {
-      opts.spec.chaos_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_number(argv[++i], opts.spec.chaos_seed)) return usage(argv[0]);
     } else if (a == "--horizon" && has_next) {
-      opts.spec.horizon_s = std::atof(argv[++i]);
+      if (!parse_number(argv[++i], opts.spec.horizon_s)) return usage(argv[0]);
     } else if (a == "--adapt") {
       adapt = true;
     } else if (a == "--spill-root" && has_next) {

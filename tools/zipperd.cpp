@@ -12,11 +12,11 @@
 // share a runner. SIGTERM/SIGINT drain active sessions and exit 0.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "core/zipper/net_service.hpp"
+#include "parse_number.hpp"
 
 namespace {
 
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     const bool has_next = i + 1 < argc;
     if (a == "--port" && has_next) {
-      opts.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      if (!parse_number(argv[++i], opts.port)) return usage(argv[0]);
     } else if (a == "--ready-file" && has_next) {
       ready_file = argv[++i];
     } else if (a == "--data-dir" && has_next) {
@@ -65,11 +65,13 @@ int main(int argc, char** argv) {
     } else if (a == "--chaos-stall") {
       opts.chaos_stall = true;
     } else if (a == "--analysis-ns" && has_next) {
-      opts.analysis_ns_per_block =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_number(argv[++i], opts.analysis_ns_per_block)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--chaos-service-ns" && has_next) {
-      opts.chaos_block_service_ns =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_number(argv[++i], opts.chaos_block_service_ns)) {
+        return usage(argv[0]);
+      }
     } else if (a == "--quiet") {
       opts.log = nullptr;
     } else {
