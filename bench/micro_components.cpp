@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "apps/analysis/moments.hpp"
@@ -22,7 +21,6 @@
 #include "core/exec/epoll.hpp"
 #include "core/exec/threaded.hpp"
 #include "core/exec/virtual_time.hpp"
-#include "core/rt/producer_buffer.hpp"
 #include "core/zipper/net_frame.hpp"
 #include "net/fabric.hpp"
 #include "sim/channel.hpp"
@@ -416,45 +414,6 @@ static void BM_FrameDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FrameDecode)->Arg(64 << 10);
-
-// ------------------------------------------------------- producer buffer ----
-
-static void BM_ProducerBufferPushPop(benchmark::State& state) {
-  core::rt::ProducerBuffer buf(
-      core::sched::SpillPolicy{{}, core::StealPolicy{1024, 0.5, false}});
-  auto block = std::make_shared<core::Block>();
-  block->payload.resize(1024);
-  for (auto _ : state) {
-    buf.push(block);
-    benchmark::DoNotOptimize(buf.pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProducerBufferPushPop);
-
-static void BM_ProducerBufferContended(benchmark::State& state) {
-  for (auto _ : state) {
-    core::rt::ProducerBuffer buf(
-        core::sched::SpillPolicy{{}, core::StealPolicy{64, 0.5, true}});
-    constexpr int kBlocks = 2000;
-    std::thread sender([&] {
-      for (int i = 0; i < kBlocks;) {
-        if (buf.pop()) ++i;
-      }
-    });
-    std::thread writer([&] {
-      while (buf.steal()) {
-      }
-    });
-    auto block = std::make_shared<core::Block>();
-    for (int i = 0; i < kBlocks * 2; ++i) buf.push(block);
-    buf.close();
-    sender.join();
-    writer.join();
-  }
-  state.SetItemsProcessed(state.iterations() * 4000);
-}
-BENCHMARK(BM_ProducerBufferContended);
 
 // -------------------------------------------------------------- kernels ----
 

@@ -4,6 +4,7 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -170,14 +171,17 @@ void EpollExecutor::sweep_finished_roots() {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void EpollExecutor::drain_ready() {
-  // Drain one batch: resumes scheduled during this pass (wake chains) run in
-  // the same pass, but a yield() re-enqueues behind them — FIFO fairness.
-  while (!ready_.empty()) {
-    auto h = ready_.front();
-    ready_.pop_front();
-    h.resume();
+std::size_t EpollExecutor::drain_ready() {
+  // One bounded pass: resumes scheduled during it (wake chains) run in the
+  // same pass until the cap, and a yield() re-enqueues behind them — FIFO
+  // fairness. With more coroutines ready than the cap, the pass runs each of
+  // them once before epoll is polled again.
+  const std::size_t budget = std::max(kResumesPerPass, ready_.size());
+  std::size_t n = 0;
+  for (; n < budget && !ready_.empty(); ++n) {
+    ready_.take_front().resume();
   }
+  return n;
 }
 
 void EpollExecutor::arm_timer() {
@@ -205,20 +209,30 @@ void EpollExecutor::arm_timer() {
 void EpollExecutor::run() {
   constexpr int kMaxEvents = 128;
   epoll_event evs[kMaxEvents];
+  std::size_t unswept = 0;  // resumes since the last sweep
   while (true) {
-    drain_ready();
-    sweep_finished_roots();
-    if (roots_.empty()) return;
+    unswept += drain_ready();
+    // A sweep walks every root. Before the loop blocks it always runs; while
+    // ready work remains it runs once per as many resumes as there are roots,
+    // which keeps its cost per resume constant with thousands of sessions
+    // and finished roots at most as many as live ones.
+    if (ready_.empty() || unswept >= roots_.size()) {
+      sweep_finished_roots();
+      unswept = 0;
+      if (roots_.empty()) return;
+    }
 
-    // Park on epoll until an fd or the nearest timer fires.
-    if (timers_.empty() && fd_waiters_ == 0) {
+    // Poll epoll without blocking while ready work remains; otherwise park
+    // until an fd or the nearest timer fires.
+    const bool more = !ready_.empty();
+    if (!more && timers_.empty() && fd_waiters_ == 0) {
       throw std::runtime_error(
           "EpollExecutor: deadlock — " + std::to_string(roots_.size()) +
           " root coroutine(s) parked with no timer or fd to wake them");
     }
     arm_timer();
 
-    int n = ::epoll_wait(epfd_, evs, kMaxEvents, -1);
+    int n = ::epoll_wait(epfd_, evs, kMaxEvents, more ? 0 : -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("epoll_wait");

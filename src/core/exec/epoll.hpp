@@ -31,6 +31,17 @@
 // The timerfd is re-armed only when the earliest deadline changes, so a loop
 // without timers makes no timerfd_settime calls.
 //
+// Bounded passes: one loop pass resumes ready coroutines FIFO, at most
+// kResumesPerPass of them or as many as were ready when it started, if more.
+// Wake chains (a resume that schedules another) run within a pass up to that
+// budget; then epoll is polled, with a zero timeout while ready work remains.
+// Finished roots are swept before the loop blocks, and while work remains
+// once per as many resumes as there are roots. A chain of coroutines that
+// keep waking each other therefore cannot keep fds, timers and the stop
+// eventfd from being serviced, nor let finished roots pile up; and with
+// thousands of sessions ready, epoll is polled once per round of them, not
+// every 61 resumes (docs/service.md, "Measurement", has the numbers).
+//
 // Threading: the loop, every primitive, and every spawned coroutine run on
 // the thread that calls run(). Nothing here is thread-safe; cross-thread
 // wake-ups go through an eventfd watched with wait_readable() (a write() is
@@ -40,13 +51,13 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
+#include "sim/event_queue.hpp"  // sim::IntrusiveFifo
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -154,12 +165,17 @@ class EpollExecutor {
   void arm_timer();
   void expire_timers();
   void sweep_finished_roots();
-  void drain_ready();
+  /// Runs one bounded pass; returns the number of resumes.
+  std::size_t drain_ready();
+
+  /// Least resume budget of a loop pass; see the header comment. 61 is the
+  /// interval at which Tokio's scheduler polls its I/O driver.
+  static constexpr std::size_t kResumesPerPass = 61;
 
   int epfd_ = -1;
   int timerfd_ = -1;
   sim::Time t0_ = 0;
-  std::deque<std::coroutine_handle<>> ready_;
+  common::RingBuffer<std::coroutine_handle<>> ready_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>,
                       std::greater<TimerEntry>>
       timers_;
@@ -177,7 +193,11 @@ class EpollExecutor {
 // ---------------------------------------------------------- primitives ----
 // Suspending single-threaded analogs of the sim primitives: waiters park
 // their handles and the wake path goes through EpollExecutor::schedule().
-// No internal locking — everything runs on the loop thread.
+// No internal locking — everything runs on the loop thread. As with the sim
+// primitives, a waiter is an intrusive node in its own awaiter (which lives
+// in the suspended coroutine's frame), so constructing a primitive and
+// parking on it allocate nothing; only a channel's value buffer does, on its
+// first buffered value.
 
 class EpMutex {
  public:
@@ -187,6 +207,8 @@ class EpMutex {
 
   struct LockAwaiter {
     EpMutex* m;
+    std::coroutine_handle<> h{};
+    LockAwaiter* next_waiter = nullptr;
     bool await_ready() {
       if (!m->locked_) {
         m->locked_ = true;
@@ -194,7 +216,10 @@ class EpMutex {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) { m->waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> hh) {
+      h = hh;
+      m->waiters_.push_back(this);
+    }
     void await_resume() const noexcept {}
   };
 
@@ -209,11 +234,9 @@ class EpMutex {
 
   void unlock() {
     assert(locked_ && "unlock of unlocked EpMutex");
-    if (!waiters_.empty()) {
-      // Ownership passes directly to the first waiter; locked_ stays true.
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      ex_->schedule(h);
+    // Ownership passes directly to the first waiter; locked_ stays true.
+    if (LockAwaiter* w = waiters_.pop_front()) {
+      ex_->schedule(w->h);
     } else {
       locked_ = false;
     }
@@ -224,7 +247,7 @@ class EpMutex {
  private:
   EpollExecutor* ex_;
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  sim::IntrusiveFifo<LockAwaiter> waiters_;
 };
 
 class EpCondVar {
@@ -242,28 +265,28 @@ class EpCondVar {
   }
 
   void notify_one() {
-    if (waiters_.empty()) return;
-    auto h = waiters_.front();
-    waiters_.pop_front();
-    ex_->schedule(h);
+    if (Park* w = waiters_.pop_front()) ex_->schedule(w->h);
   }
 
   void notify_all() {
-    while (!waiters_.empty()) notify_one();
+    while (Park* w = waiters_.pop_front()) ex_->schedule(w->h);
   }
 
  private:
   struct Park {
     EpCondVar* cv;
+    std::coroutine_handle<> h{};
+    Park* next_waiter = nullptr;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      cv->waiters_.push_back(h);
+    void await_suspend(std::coroutine_handle<> hh) {
+      h = hh;
+      cv->waiters_.push_back(this);
     }
     void await_resume() const noexcept {}
   };
 
   EpollExecutor* ex_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  sim::IntrusiveFifo<Park> waiters_;
 };
 
 class EpLatch {
@@ -272,23 +295,26 @@ class EpLatch {
   EpLatch(const EpLatch&) = delete;
   EpLatch& operator=(const EpLatch&) = delete;
 
+  struct WaitAwaiter {
+    EpLatch* l;
+    std::coroutine_handle<> h{};
+    WaitAwaiter* next_waiter = nullptr;
+    bool await_ready() const noexcept { return l->count_ == 0; }
+    void await_suspend(std::coroutine_handle<> hh) {
+      h = hh;
+      l->waiters_.push_back(this);
+    }
+    void await_resume() const noexcept {}
+  };
+
   void count_down(std::int64_t n = 1) {
     assert(count_ >= n && "latch underflow");
     count_ -= n;
     if (count_ == 0) {
-      while (!waiters_.empty()) {
-        ex_->schedule(waiters_.front());
-        waiters_.pop_front();
-      }
+      while (WaitAwaiter* w = waiters_.pop_front()) ex_->schedule(w->h);
     }
   }
 
-  struct WaitAwaiter {
-    EpLatch* l;
-    bool await_ready() const noexcept { return l->count_ == 0; }
-    void await_suspend(std::coroutine_handle<> h) { l->waiters_.push_back(h); }
-    void await_resume() const noexcept {}
-  };
   WaitAwaiter wait() { return WaitAwaiter{this}; }
 
   std::int64_t pending() const noexcept { return count_; }
@@ -296,7 +322,7 @@ class EpLatch {
  private:
   EpollExecutor* ex_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  sim::IntrusiveFifo<WaitAwaiter> waiters_;
 };
 
 /// Suspending channel with sim::Channel semantics on the epoll loop: bounded
@@ -308,7 +334,7 @@ class EpChannel {
  public:
   /// capacity == 0 means unbounded.
   explicit EpChannel(EpollExecutor& ex, std::size_t capacity = 0)
-      : ex_(&ex), capacity_(capacity), buffer_(capacity) {}
+      : ex_(&ex), capacity_(capacity) {}
   EpChannel(const EpChannel&) = delete;
   EpChannel& operator=(const EpChannel&) = delete;
 
@@ -316,6 +342,8 @@ class EpChannel {
     EpChannel* ch;
     std::optional<T> slot;
     bool closed_signal = false;
+    std::coroutine_handle<> h{};
+    RecvAwaiter* next_waiter = nullptr;
 
     bool await_ready() {
       if (!ch->buffer_.empty()) {
@@ -329,8 +357,9 @@ class EpChannel {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      ch->recv_waiters_.push_back({this, h});
+    void await_suspend(std::coroutine_handle<> hh) {
+      h = hh;
+      ch->recv_waiters_.push_back(this);
     }
     std::optional<T> await_resume() {
       if (closed_signal) return std::nullopt;
@@ -342,14 +371,14 @@ class EpChannel {
     EpChannel* ch;
     T value;
     bool delivered = true;
+    std::coroutine_handle<> h{};
+    SendAwaiter* next_waiter = nullptr;
 
     bool await_ready() {
       assert(!ch->closed_ && "send on closed channel");
-      if (!ch->recv_waiters_.empty()) {
-        auto [r, h] = ch->recv_waiters_.front();
-        ch->recv_waiters_.pop_front();
+      if (RecvAwaiter* r = ch->recv_waiters_.pop_front()) {
         r->slot = std::move(value);
-        ch->ex_->schedule(h);
+        ch->ex_->schedule(r->h);
         return true;
       }
       if (ch->capacity_ == 0 || ch->buffer_.size() < ch->capacity_) {
@@ -358,8 +387,9 @@ class EpChannel {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      ch->send_waiters_.push_back({this, h});
+    void await_suspend(std::coroutine_handle<> hh) {
+      h = hh;
+      ch->send_waiters_.push_back(this);
     }
     /// True if delivered (or buffered); false if closed while parked.
     bool await_resume() const noexcept { return delivered; }
@@ -378,18 +408,14 @@ class EpChannel {
   void close() {
     closed_ = true;
     if (buffer_.empty()) {
-      while (!recv_waiters_.empty()) {
-        auto [r, h] = recv_waiters_.front();
-        recv_waiters_.pop_front();
+      while (RecvAwaiter* r = recv_waiters_.pop_front()) {
         r->closed_signal = true;
-        ex_->schedule(h);
+        ex_->schedule(r->h);
       }
     }
-    while (!send_waiters_.empty()) {
-      auto [s, h] = send_waiters_.front();
-      send_waiters_.pop_front();
+    while (SendAwaiter* s = send_waiters_.pop_front()) {
       s->delivered = false;
-      ex_->schedule(h);
+      ex_->schedule(s->h);
     }
   }
 
@@ -399,19 +425,19 @@ class EpChannel {
 
  private:
   void promote_waiting_sender() {
-    if (send_waiters_.empty()) return;
-    auto [s, h] = send_waiters_.front();
-    send_waiters_.pop_front();
+    SendAwaiter* s = send_waiters_.pop_front();
+    if (!s) return;
     buffer_.push_back(std::move(s->value));
-    ex_->schedule(h);
+    ex_->schedule(s->h);
   }
 
   EpollExecutor* ex_;
   std::size_t capacity_;
   bool closed_ = false;
+  /// Grows on the first buffered value, not at construction.
   common::RingBuffer<T> buffer_;
-  std::deque<std::pair<RecvAwaiter*, std::coroutine_handle<>>> recv_waiters_;
-  std::deque<std::pair<SendAwaiter*, std::coroutine_handle<>>> send_waiters_;
+  sim::IntrusiveFifo<RecvAwaiter> recv_waiters_;
+  sim::IntrusiveFifo<SendAwaiter> send_waiters_;
 };
 
 }  // namespace zipper::core::exec

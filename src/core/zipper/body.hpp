@@ -76,6 +76,10 @@ struct BodyConfig {
   /// Online re-tuning controller + its snapshot interval.
   std::function<chaos::ControlAction(const chaos::ControlSnapshot&)> controller;
   sim::Time control_interval = 250 * sim::kMillisecond;
+  /// The producers run a controller in another process (a net daemon's
+  /// body): end-of-stream bookkeeping uses the unpinned protocol a local
+  /// controller would, so every consumer hears from every producer.
+  bool peer_live_control = false;
 
   /// Test/diagnostic hooks (deterministic DES order under virtual time).
   std::function<void(int c, const BlockHeader&)> on_analyzed;
@@ -205,6 +209,8 @@ class ZipperBody {
   void close_consumer_output(int c);
   /// Completes when consumer c's receiver/reader/output services finished.
   Task wait_consumer_services(int c);
+  /// End-of-stream messages consumer c's receiver waits for.
+  int expected_end_markers(int c) const;
 
   // -- shutdown (threaded facade) -------------------------------------------
   /// Unblocks every consumer-side stage (emergency teardown).

@@ -87,7 +87,9 @@ ZipperBody<B>::ZipperBody(Env& env, BodyConfig cfg, int num_producers,
                                            2 + (cfg_.preserve ? 1 : 0));
     // A controller may re-route mid-run, so end-of-stream bookkeeping must
     // use the unpinned protocol: every consumer hears from every producer.
-    cons->expected_producers = live_control_ ? P_ : route_.expected_producers(c);
+    cons->expected_producers = live_control_ || cfg_.peer_live_control
+                                   ? P_
+                                   : route_.expected_producers(c);
     consumers_.push_back(std::move(cons));
   }
 }
@@ -635,6 +637,11 @@ template <class B>
 typename B::Task ZipperBody<B>::wait_consumer_services(int c) {
   Consumer& cm = *consumers_[static_cast<std::size_t>(c)];
   co_await cm.services_done.wait();
+}
+
+template <class B>
+int ZipperBody<B>::expected_end_markers(int c) const {
+  return consumers_[static_cast<std::size_t>(c)]->expected_producers;
 }
 
 template <class B>

@@ -217,9 +217,11 @@ class NetEnv {
   // ------------------------------------------------------- daemon role ----
 
   /// Demux -> consumer queue, with channel backpressure (a full consumer
-  /// stalls the session demux, which stalls the client's TCP stream).
+  /// stalls the session demux, which stalls the client's TCP stream). After
+  /// close_transport() the message is dropped: the session is unwinding.
   sim::Task deliver_mixed(int c, MixedT msg) {
-    co_await nets_[static_cast<std::size_t>(c)]->send(std::move(msg));
+    exec::EpChannel<MixedT>& net = *nets_[static_cast<std::size_t>(c)];
+    if (!net.closed()) co_await net.send(std::move(msg));
   }
 
   sim::Task recv_mixed(int c, std::optional<MixedT>& out) {

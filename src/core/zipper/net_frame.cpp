@@ -186,6 +186,7 @@ std::vector<std::byte> encode_hello(const SessionSpec& spec) {
   put_string(b, spec.fault);
   put_f64(b, spec.horizon_s);
   put_string(b, spec.spill_dir);
+  put_u8(b, spec.live_control ? 1 : 0);
   return finish(FrameType::kHello, std::move(b));
 }
 
@@ -210,6 +211,7 @@ SessionSpec decode_hello(std::span<const std::byte> body) {
   s.fault = c.str();
   s.horizon_s = c.f64();
   s.spill_dir = c.str();
+  s.live_control = c.u8() != 0;
   c.done();
   if (s.producers == 0 || s.consumers == 0 || s.steps == 0 ||
       s.block_bytes == 0 || s.step_bytes == 0) {

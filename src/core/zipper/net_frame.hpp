@@ -4,12 +4,14 @@
 // type byte plus the body, little-endian fixed-width integers throughout.
 // Three frame types carry a coupling session:
 //
-//   kHello    client -> daemon, once: the serialized ScenarioSpec subset
-//             (ranks, block geometry, sched policy, chaos fault axis, spill
-//             directory) that parameterizes the per-session ZipperBody.
-//             Starts with a magic word ("ZPL2", the protocol version) so a
-//             stray connection or an older peer is rejected before any
-//             state is allocated.
+//   kHello    client -> daemon, once per session: the serialized
+//             ScenarioSpec subset (ranks, block geometry, sched policy,
+//             chaos fault axis, spill directory) that parameterizes the
+//             per-session ZipperBody. Starts with a magic word ("ZPL3", the
+//             protocol version) so a stray connection or an older peer is
+//             rejected before any state is allocated. A connection carries
+//             sessions back to back: the next Hello follows the previous
+//             session's Summary.
 //   kMixed    client -> daemon: the paper's mixed message — at most one data
 //             block (header + XXH64 checksum + payload bytes) plus the IDs of
 //             blocks the writer degraded to the shared spill directory, or
@@ -19,7 +21,7 @@
 //             the frame's tail, so a sender writes it straight from the
 //             block with scatter-gather: encode_mixed_head() builds every
 //             byte before it, and the two go out in one sendmsg().
-//   kSummary  daemon -> client, once: exactly-once accounting (analyzed /
+//   kSummary  daemon -> client, once per session: exactly-once accounting (analyzed /
 //             network / disk block counts), block-latency samples, and an
 //             error string when the session died early.
 //
@@ -45,7 +47,7 @@
 
 namespace zipper::core::zbody::net {
 
-inline constexpr std::uint32_t kHelloMagic = 0x5A50'4C32;  // "ZPL2"
+inline constexpr std::uint32_t kHelloMagic = 0x5A50'4C33;  // "ZPL3"
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
 enum class FrameType : std::uint8_t {
@@ -82,6 +84,9 @@ struct SessionSpec {
   double horizon_s = 1.0;
   // Shared "PFS" directory for this session's spill/preserve files.
   std::string spill_dir;
+  // The producer side runs a live controller, so every producer ends the
+  // stream of every consumer (BodyConfig::peer_live_control on the daemon).
+  bool live_control = false;
 
   int blocks_per_step() const {
     return static_cast<int>((step_bytes + block_bytes - 1) / block_bytes);

@@ -98,8 +98,10 @@ void set_nodelay(int fd) {
 constexpr std::size_t kReadBytes = 128 * 1024;
 
 /// Reads until one complete frame is decoded. Returns an error string on
-/// EOF / socket error / frame error / cancel; the decoder keeps any bytes
-/// beyond the frame (the client may pipeline mixed frames after the hello).
+/// socket error / frame error / cancel, and leaves both `out` and `err`
+/// empty on EOF at a frame boundary (a peer that closed between sessions);
+/// EOF mid-frame is "connection closed". The decoder keeps any bytes beyond
+/// the frame (the client may pipeline mixed frames after the hello).
 sim::Task read_one_frame(exec::EpollExecutor& ex, int fd, FrameDecoder& dec,
                          std::optional<Frame>& out, std::string& err) {
   for (;;) {
@@ -117,7 +119,7 @@ sim::Task read_one_frame(exec::EpollExecutor& ex, int fd, FrameDecoder& dec,
       continue;
     }
     if (n == 0) {
-      err = "connection closed";
+      if (dec.pending_bytes() > 0) err = "connection closed";
       co_return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -137,9 +139,9 @@ sim::Task read_one_frame(exec::EpollExecutor& ex, int fd, FrameDecoder& dec,
 
 // ------------------------------------------------------------------ server --
 
-/// Everything one accepted connection owns. Lives in session_main's frame:
-/// the demux and consumer coroutines hold raw pointers, and session_main
-/// awaits their latches before the frame (and this struct) is destroyed.
+/// Everything one session owns. Lives in run_session's frame: the demux and
+/// consumer coroutines hold raw pointers, and run_session awaits their
+/// latches before the frame (and this struct) is destroyed.
 struct ZipperdServer::Session {
   Session(exec::EpollExecutor& ex, int fd_, SessionSpec spec_)
       : fd(fd_),
@@ -161,6 +163,11 @@ struct ZipperdServer::Session {
   std::uint64_t analyzed = 0;
   std::vector<std::uint64_t> latency;
   std::string error;
+  /// Per consumer, the end-of-stream markers its receiver still waits for,
+  /// and their sum. At zero the session's input is complete: the demux
+  /// stops reading and leaves later bytes to the connection.
+  std::vector<int> ends_left;
+  int ends_pending = 0;
 };
 
 ZipperdServer::ZipperdServer(ServerOptions opts) : opts_(std::move(opts)) {
@@ -235,18 +242,21 @@ void ZipperdServer::run() {
   ex_.run();
   log_line("stopped: " + std::to_string(stats_.sessions_ok) + " ok, " +
            std::to_string(stats_.sessions_failed) + " failed, " +
-           std::to_string(stats_.blocks_analyzed) + " blocks");
+           std::to_string(stats_.blocks_analyzed) + " blocks, " +
+           std::to_string(stats_.sessions_accepted) + " sessions over " +
+           std::to_string(stats_.connections_accepted) + " connections");
 }
 
 sim::Task ZipperdServer::stop_watch_main() {
   (void)co_await ex_.wait_readable(stop_fd_);
   stopping_ = true;
   log_line("stop requested, draining " +
-           std::to_string(active_fds_.size()) + " session(s)");
+           std::to_string(active_fds_.size()) + " connection(s)");
   ex_.cancel_fd(listen_fd_);
-  // Half-close every active session: its demux reads EOF, the body unwinds
-  // through the normal end-of-stream path, and run() returns once the last
-  // root finishes.
+  // Half-close every active connection: a session's demux reads EOF and the
+  // body unwinds through the normal end-of-stream path, a connection between
+  // sessions reads EOF where the next Hello would be, and run() returns once
+  // the last root finishes.
   for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
 }
 
@@ -256,7 +266,7 @@ sim::Task ZipperdServer::acceptor_main() {
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (cfd >= 0) {
       // A drain that already ran would never shut this fd down, and its
-      // session would wait for a hello forever.
+      // connection would wait for a hello forever.
       if (stopping_) {
         ::close(cfd);
         co_return;
@@ -264,7 +274,7 @@ sim::Task ZipperdServer::acceptor_main() {
       // Registered before the session's first resume: a stop handled
       // earlier in this loop turn still shuts it down.
       active_fds_.insert(cfd);
-      ++stats_.sessions_accepted;
+      ++stats_.connections_accepted;
       set_nodelay(cfd);
       ex_.spawn(session_main(cfd));
       continue;
@@ -282,34 +292,52 @@ sim::Task ZipperdServer::acceptor_main() {
 }
 
 sim::Task ZipperdServer::session_main(int fd) {
+  // Sessions run on the connection back to back: Hello, the session, its
+  // Summary, then the next Hello. The decoder belongs to the connection, so
+  // bytes buffered behind a frame carry over to whoever reads next.
   FrameDecoder dec;
-  std::optional<Frame> hello;
-  std::string err;
-  co_await read_one_frame(ex_, fd, dec, hello, err);
-  SessionSpec spec;
-  if (err.empty()) {
-    if (hello->type != FrameType::kHello) {
-      err = "first frame is not a hello";
-    } else {
-      try {
-        spec = decode_hello(hello->body);
-        err = validate_spec(spec);
-      } catch (const FrameError& e) {
-        err = e.what();
+  for (bool first = true;; first = false) {
+    std::optional<Frame> hello;
+    std::string err;
+    co_await read_one_frame(ex_, fd, dec, hello, err);
+    if (!hello && err.empty()) {
+      if (!first) break;  // the client closed between sessions
+      err = "connection closed";
+    }
+    SessionSpec spec;
+    if (err.empty()) {
+      if (hello->type != FrameType::kHello) {
+        err = first ? "first frame is not a hello"
+                    : "frame after the summary is not a hello";
+      } else {
+        try {
+          spec = decode_hello(hello->body);
+          err = validate_spec(spec);
+        } catch (const FrameError& e) {
+          err = e.what();
+        }
       }
     }
+    if (!err.empty()) {
+      log_line("session rejected: " + err);
+      ++stats_.sessions_failed;
+      break;
+    }
+    ++stats_.sessions_accepted;
+    bool keep = false;
+    co_await run_session(fd, dec, std::move(spec), keep);
+    if (!keep) break;
   }
-  if (!err.empty()) {
-    log_line("session rejected: " + err);
-    ++stats_.sessions_failed;
-    active_fds_.erase(fd);
-    ex_.cancel_fd(fd);
-    ::close(fd);
-    co_return;
-  }
+  active_fds_.erase(fd);
+  ex_.cancel_fd(fd);
+  ::close(fd);
+}
 
+sim::Task ZipperdServer::run_session(int fd, FrameDecoder& dec,
+                                     SessionSpec hello, bool& keep) {
+  Session s(ex_, fd, std::move(hello));
+  const SessionSpec& spec = s.spec;
   const int Q = static_cast<int>(spec.consumers);
-  Session s(ex_, fd, spec);
   s.chaos = chaos_from(spec);
 
   NetEnvConfig ec;
@@ -329,6 +357,7 @@ sim::Task ZipperdServer::session_main(int fd) {
 
   BodyConfig bc = body_config_from(spec);
   bc.chaos = s.chaos;
+  bc.peer_live_control = spec.live_control;
   Session* sp = &s;
   bc.on_analyzed = [this, sp](int c, const BlockHeader& h) {
     if (!sp->seen.insert(h.id).second) sp->duplicate = true;
@@ -350,8 +379,13 @@ sim::Task ZipperdServer::session_main(int fd) {
                                                     static_cast<int>(
                                                         spec.producers),
                                                     Q);
+  s.ends_left.reserve(static_cast<std::size_t>(Q));
+  for (int c = 0; c < Q; ++c) {
+    s.ends_left.push_back(s.body->expected_end_markers(c));
+    s.ends_pending += s.ends_left.back();
+  }
 
-  ex_.spawn(demux_main(&s, std::move(dec)));
+  ex_.spawn(demux_main(&s, dec));
   for (int c = 0; c < Q; ++c) ex_.spawn(consumer_wrap(&s, c));
   co_await s.consumers_done.wait();
   for (int c = 0; c < Q; ++c) co_await s.body->wait_consumer_services(c);
@@ -378,13 +412,17 @@ sim::Task ZipperdServer::session_main(int fd) {
   sum.error = s.error;
   co_await s.env->write_frame(encode_summary(sum));
 
-  // The client closes its end after reading the summary; the demux sees EOF
-  // and finishes. Await it before destroying the session state it points at.
+  // The connection carries the next session only after a clean one whose
+  // demux stopped at the end of its input. Otherwise it closes: the demux,
+  // possibly still parked on the socket or on a consumer queue, reads EOF
+  // and finishes; the client's pending Summary read still gets its bytes.
+  keep = sum.ok && s.ends_pending == 0 && s.env->wire_error().empty();
+  if (!keep) {
+    s.env->close_transport();
+    ::shutdown(fd, SHUT_RDWR);
+  }
   co_await s.demux_done.wait();
-
-  active_fds_.erase(fd);
-  ex_.cancel_fd(fd);
-  ::close(fd);
+  // Returning tears the session down while the client reads its Summary.
   if (sum.ok) {
     ++stats_.sessions_ok;
   } else {
@@ -394,13 +432,13 @@ sim::Task ZipperdServer::session_main(int fd) {
   }
 }
 
-sim::Task ZipperdServer::demux_main(Session* s, FrameDecoder dec) {
+sim::Task ZipperdServer::demux_main(Session* s, FrameDecoder& dec) {
   std::string err;
   bool eof = false;
   const int Q = static_cast<int>(s->spec.consumers);
-  while (err.empty() && !eof) {
-    // Drain every complete frame already buffered.
-    for (;;) {
+  while (err.empty() && !eof && s->ends_pending > 0) {
+    // Deliver the complete frames already buffered, up to the session's last.
+    while (s->ends_pending > 0) {
       std::optional<FrameView> f;
       try {
         f = dec.next_view();
@@ -441,8 +479,17 @@ sim::Task ZipperdServer::demux_main(Session* s, FrameDecoder dec) {
       // stops socket reads, which stalls the client's senders — the same
       // coupling the DES models, now through a real TCP window.
       co_await s->env->deliver_mixed(w.consumer, std::move(m));
+      int& left = s->ends_left[static_cast<std::size_t>(w.consumer)];
+      if (w.done && left > 0) {
+        --left;
+        --s->ends_pending;
+      }
+      // The consumer analyzes this block before the frames behind it are
+      // decoded, so a burst read in one recv() does not queue every block
+      // behind the whole burst.
+      co_await ex_.yield();
     }
-    if (!err.empty()) break;
+    if (!err.empty() || s->ends_pending == 0) break;
 
     // Chaos fault windows injected for real: while any window is open this
     // session reads nothing, so the client's puts time out and walk the
@@ -477,7 +524,7 @@ sim::Task ZipperdServer::demux_main(Session* s, FrameDecoder dec) {
     if (errno == EINTR) continue;
     err = std::string("recv: ") + std::strerror(errno);
   }
-  if (err.empty() && dec.pending_bytes() > 0) {
+  if (err.empty() && eof && dec.pending_bytes() > 0) {
     // Peer reset (or vanished) mid-block: the bytes of a partial frame are
     // sitting in the decoder with no continuation coming.
     err = "peer closed mid-frame (" +
@@ -535,28 +582,25 @@ std::byte fill_byte(const BlockId& id) {
       (id.step * 131 + id.producer * 31 + id.index * 7) & 0xFF);
 }
 
-sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
-                         std::uint64_t sid) {
-  SessionSpec spec = st.opts->spec;
-  spec.session_id = sid;
-  const std::filesystem::path sdir =
-      st.spill_root / ("s" + std::to_string(::getpid()) + "_" +
-                       std::to_string(sid));
-  // The env creates the directory on its first spill; the daemon only reads
-  // it for blocks that were spilled, so none need exist before then.
-  spec.spill_dir = sdir.string();
+/// A client worker's connection to the daemon. Sessions run on it back to
+/// back; the decoder belongs to the connection, as on the daemon side.
+struct ClientConn {
+  int fd = -1;
+  FrameDecoder dec;
+};
 
-  std::string err;
+sim::Task connect_daemon(exec::EpollExecutor& ex, std::uint16_t port,
+                         ClientConn& conn, std::string& err) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
-    session_failed(st, sid, std::string("socket: ") + std::strerror(errno));
+    err = std::string("socket: ") + std::strerror(errno);
     co_return;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(st.opts->port);
+  addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     if (errno == EINPROGRESS) {
       if (!co_await ex.wait_writable(fd)) {
@@ -571,118 +615,149 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
       err = std::string("connect: ") + std::strerror(errno);
     }
   }
-
-  if (err.empty()) {
-    set_nodelay(fd);
-    const int P = static_cast<int>(spec.producers);
-    const int Q = static_cast<int>(spec.consumers);
-    NetEnvConfig ec;
-    ec.spill_dir = sdir;
-    NetEnv env(ex, ec, Q);
-    env.attach_wire(fd);
-    BodyConfig bc = body_config_from(spec);
-    bc.chaos = chaos_from(spec);
-    if (st.opts->make_controller) {
-      bc.controller = st.opts->make_controller();
-      bc.control_interval = st.opts->control_interval;
-    }
-    ZipperBody<NetBinding> body(env, bc, P, Q);
-
-    co_await env.write_frame(encode_hello(spec));
-    for (int p = 0; p < P; ++p) body.spawn_producer_services(p);
-    if (bc.controller) body.spawn_control();
-
-    const int nb = spec.blocks_per_step();
-    for (std::uint32_t step = 0;
-         step < spec.steps && env.wire_error().empty(); ++step) {
-      for (int p = 0; p < P; ++p) {
-        for (int b = 0; b < nb; ++b) {
-          NetEnv::ItemT it;
-          it.h.id = BlockId{static_cast<std::int32_t>(step), p, b};
-          it.h.offset = static_cast<std::uint64_t>(b) * spec.block_bytes;
-          it.h.bytes = (b == nb - 1)
-                           ? spec.step_bytes -
-                                 static_cast<std::uint64_t>(nb - 1) *
-                                     spec.block_bytes
-                           : spec.block_bytes;
-          auto blk = std::make_shared<Block>();
-          blk->header = it.h;
-          blk->payload.assign(it.h.bytes, fill_byte(it.h.id));
-          it.payload = std::move(blk);
-          co_await body.put_header(p, std::move(it));
-        }
-      }
-    }
-    for (int p = 0; p < P; ++p) co_await body.producer_finalize(p);
-    for (int p = 0; p < P; ++p) co_await body.wait_sender_done(p);
-    if (bc.controller) {
-      // control_main's in-flight tick completes within one interval of the
-      // stop flag; wait it out so the body outlives its last snapshot.
-      env.stop_control();
-      co_await env.sleep(2 * bc.control_interval);
-    }
-
-    SessionSummary sum;
-    if (env.wire_error().empty()) {
-      FrameDecoder dec;
-      std::optional<Frame> f;
-      co_await read_one_frame(ex, fd, dec, f, err);
-      if (err.empty()) {
-        if (f->type != FrameType::kSummary) {
-          err = "expected summary frame";
-        } else {
-          try {
-            sum = decode_summary(f->body);
-          } catch (const FrameError& e) {
-            err = e.what();
-          }
-        }
-      }
-    } else {
-      err = env.wire_error();
-    }
-
-    // The client's own spill failure is the root cause of the daemon's
-    // failed fetch, so it is reported first.
-    if (err.empty() && !env.io_error().empty()) err = env.io_error();
-    if (err.empty() && !sum.ok) {
-      err = sum.error.empty() ? "daemon reported failure" : sum.error;
-    }
-    if (err.empty() && sum.blocks_analyzed != spec.expected_blocks()) {
-      err = "daemon analyzed " + std::to_string(sum.blocks_analyzed) +
-            " of " + std::to_string(spec.expected_blocks());
-    }
-    // A summary means the daemon's last fetch is done; without one the
-    // session has failed either way.
-    if (env.made_spill_dir()) {
-      std::error_code fec;
-      std::filesystem::remove_all(sdir, fec);
-    }
-
-    exec::AggregateStats ag{};
-    body.aggregate_into(ag);
-    st.res.put_retries += ag.put_retries;
-    st.res.blocks_spilled_slow += ag.blocks_spilled_slow;
-    st.res.blocks_analyzed += sum.blocks_analyzed;
-    st.res.blocks_from_network += sum.blocks_from_network;
-    st.res.blocks_from_disk += sum.blocks_from_disk;
-    pool_latency(st.res, sum.latency_ns);
+  if (!err.empty()) {
+    ex.cancel_fd(fd);
+    ::close(fd);
+    co_return;
   }
-
-  ex.cancel_fd(fd);
-  ::close(fd);
-  if (err.empty()) {
-    ++st.res.sessions_ok;
-  } else {
-    session_failed(st, sid, err);
-  }
+  set_nodelay(fd);
+  conn.fd = fd;
+  conn.dec = FrameDecoder{};
 }
 
+void close_conn(exec::EpollExecutor& ex, ClientConn& conn) {
+  if (conn.fd < 0) return;
+  ex.cancel_fd(conn.fd);
+  ::close(conn.fd);
+  conn.fd = -1;
+}
+
+/// Runs session `sid` on `conn`; `err` stays empty if it verified ok.
+sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
+                         std::uint64_t sid, ClientConn& conn,
+                         std::string& err) {
+  SessionSpec spec = st.opts->spec;
+  spec.session_id = sid;
+  spec.live_control = static_cast<bool>(st.opts->make_controller);
+  const std::filesystem::path sdir =
+      st.spill_root / ("s" + std::to_string(::getpid()) + "_" +
+                       std::to_string(sid));
+  // The env creates the directory on its first spill; the daemon only reads
+  // it for blocks that were spilled, so none need exist before then.
+  spec.spill_dir = sdir.string();
+
+  const int P = static_cast<int>(spec.producers);
+  const int Q = static_cast<int>(spec.consumers);
+  NetEnvConfig ec;
+  ec.spill_dir = sdir;
+  NetEnv env(ex, ec, Q);
+  env.attach_wire(conn.fd);
+  BodyConfig bc = body_config_from(spec);
+  bc.chaos = chaos_from(spec);
+  if (st.opts->make_controller) {
+    bc.controller = st.opts->make_controller();
+    bc.control_interval = st.opts->control_interval;
+  }
+  ZipperBody<NetBinding> body(env, bc, P, Q);
+
+  co_await env.write_frame(encode_hello(spec));
+  for (int p = 0; p < P; ++p) body.spawn_producer_services(p);
+  if (bc.controller) body.spawn_control();
+
+  const int nb = spec.blocks_per_step();
+  for (std::uint32_t step = 0;
+       step < spec.steps && env.wire_error().empty(); ++step) {
+    for (int p = 0; p < P; ++p) {
+      for (int b = 0; b < nb; ++b) {
+        NetEnv::ItemT it;
+        it.h.id = BlockId{static_cast<std::int32_t>(step), p, b};
+        it.h.offset = static_cast<std::uint64_t>(b) * spec.block_bytes;
+        it.h.bytes = (b == nb - 1)
+                         ? spec.step_bytes -
+                               static_cast<std::uint64_t>(nb - 1) *
+                                   spec.block_bytes
+                         : spec.block_bytes;
+        auto blk = std::make_shared<Block>();
+        blk->header = it.h;
+        blk->payload.assign(it.h.bytes, fill_byte(it.h.id));
+        it.payload = std::move(blk);
+        co_await body.put_header(p, std::move(it));
+      }
+    }
+  }
+  for (int p = 0; p < P; ++p) co_await body.producer_finalize(p);
+  for (int p = 0; p < P; ++p) co_await body.wait_sender_done(p);
+  if (bc.controller) {
+    // control_main's in-flight tick completes within one interval of the
+    // stop flag; wait it out so the body outlives its last snapshot.
+    env.stop_control();
+    co_await env.sleep(2 * bc.control_interval);
+  }
+
+  SessionSummary sum;
+  if (env.wire_error().empty()) {
+    std::optional<Frame> f;
+    co_await read_one_frame(ex, conn.fd, conn.dec, f, err);
+    if (err.empty() && !f) err = "connection closed";
+    if (err.empty()) {
+      if (f->type != FrameType::kSummary) {
+        err = "expected summary frame";
+      } else {
+        try {
+          sum = decode_summary(f->body);
+        } catch (const FrameError& e) {
+          err = e.what();
+        }
+      }
+    }
+  } else {
+    err = env.wire_error();
+  }
+
+  // The client's own spill failure is the root cause of the daemon's
+  // failed fetch, so it is reported first.
+  if (err.empty() && !env.io_error().empty()) err = env.io_error();
+  if (err.empty() && !sum.ok) {
+    err = sum.error.empty() ? "daemon reported failure" : sum.error;
+  }
+  if (err.empty() && sum.blocks_analyzed != spec.expected_blocks()) {
+    err = "daemon analyzed " + std::to_string(sum.blocks_analyzed) + " of " +
+          std::to_string(spec.expected_blocks());
+  }
+  // A summary means the daemon's last fetch is done; without one the
+  // session has failed either way.
+  if (env.made_spill_dir()) {
+    std::error_code fec;
+    std::filesystem::remove_all(sdir, fec);
+  }
+
+  exec::AggregateStats ag{};
+  body.aggregate_into(ag);
+  st.res.put_retries += ag.put_retries;
+  st.res.blocks_spilled_slow += ag.blocks_spilled_slow;
+  st.res.blocks_analyzed += sum.blocks_analyzed;
+  st.res.blocks_from_network += sum.blocks_from_network;
+  st.res.blocks_from_disk += sum.blocks_from_disk;
+  pool_latency(st.res, sum.latency_ns);
+}
+
+/// One connection, sessions over it back to back. A failed session closes
+/// the connection (its wire state is unknown); the next session reconnects.
 sim::Task client_worker(exec::EpollExecutor& ex, ClientState& st) {
+  ClientConn conn;
   while (st.next_session < st.opts->sessions) {
     const std::uint64_t sid = st.next_session++;
-    co_await client_session(ex, st, sid);
+    std::string err;
+    if (conn.fd < 0) co_await connect_daemon(ex, st.opts->port, conn, err);
+    if (err.empty()) co_await client_session(ex, st, sid, conn, err);
+    if (err.empty()) {
+      ++st.res.sessions_ok;
+      continue;
+    }
+    session_failed(st, sid, err);
+    close_conn(ex, conn);
   }
+  close_conn(ex, conn);
 }
 
 }  // namespace

@@ -10,20 +10,25 @@
 //   sockets are shut down, and every session unwinds through the normal
 //   end-of-stream path before run() returns.
 //
-//   Each accepted connection is one coupling session: the first frame must
-//   be a Hello carrying the SessionSpec, which parameterizes a per-session
-//   NetEnv + ZipperBody (sched policy, chaos engine, spill directory). A
-//   demux coroutine feeds decoded mixed frames into per-consumer channels;
-//   Q consumer_run coroutines drain them; a summary frame closes the loop
-//   with exactly-once accounting and block-latency samples. Frame errors are
-//   session-fatal, never daemon-fatal.
+//   Each accepted connection carries coupling sessions back to back. A
+//   session starts with a Hello carrying the SessionSpec, which
+//   parameterizes a per-session NetEnv + ZipperBody (sched policy, chaos
+//   engine, spill directory). A demux coroutine feeds decoded mixed frames
+//   into per-consumer channels until every consumer has its end-of-stream
+//   markers; Q consumer_run coroutines drain them; a summary frame closes the
+//   session with exactly-once accounting and block-latency samples. The
+//   session is torn down once its summary is written, and the connection
+//   waits for the next Hello; EOF there ends it cleanly. Frame errors are
+//   session-fatal, never daemon-fatal, and a failed session closes its
+//   connection (docs/service.md, "Session lifecycle").
 //
-//   run_client_load — opens `sessions` connections, at most `concurrency`
-//   in flight, each running the full producer pipeline (put path, resilience
-//   ladder with real spill files, finalize, summary verification) on one
-//   epoll loop. Returns aggregate throughput/latency plus per-ladder-rung
-//   counters, which is what bench/net_service.cpp and the CI smoke assert
-//   against.
+//   run_client_load — runs `sessions` sessions on at most `concurrency`
+//   workers, each keeping one connection and running its sessions over it
+//   one after another (reconnecting after a failed session). Each session
+//   runs the full producer pipeline (put path, resilience ladder with real
+//   spill files, finalize, summary verification) on one epoll loop. Returns
+//   aggregate throughput/latency plus per-ladder-rung counters, which is
+//   what bench/net_service.cpp and the CI smoke assert against.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +70,8 @@ struct ServerOptions {
 };
 
 struct ServerStats {
+  std::uint64_t connections_accepted = 0;
+  /// Hellos that passed validation; each one ran a session.
   std::uint64_t sessions_accepted = 0;
   std::uint64_t sessions_ok = 0;
   std::uint64_t sessions_failed = 0;
@@ -101,7 +108,9 @@ class ZipperdServer {
   sim::Task acceptor_main();
   sim::Task stop_watch_main();
   sim::Task session_main(int fd);
-  sim::Task demux_main(Session* s, FrameDecoder dec);
+  sim::Task run_session(int fd, FrameDecoder& dec, SessionSpec hello,
+                        bool& keep);
+  sim::Task demux_main(Session* s, FrameDecoder& dec);
   sim::Task consumer_wrap(Session* s, int c);
   void log_line(const std::string& line);
 
@@ -111,8 +120,8 @@ class ZipperdServer {
   int stop_fd_ = -1;  // eventfd
   std::uint16_t port_ = 0;
   bool stopping_ = false;
-  /// Accepted session sockets, registered by the acceptor and erased when
-  /// their session ends; the stop drain shuts each one down.
+  /// Accepted connections, registered by the acceptor and erased when they
+  /// close; the stop drain shuts each one down.
   std::unordered_set<int> active_fds_;
   ServerStats stats_;
 };
@@ -123,7 +132,8 @@ struct ClientOptions {
   std::uint16_t port = 0;  // daemon port (required)
   std::uint64_t sessions = 1;
   std::uint64_t concurrency = 1;
-  /// Template spec; session_id and spill_dir are filled per session.
+  /// Template spec; session_id, spill_dir and live_control are filled per
+  /// session.
   SessionSpec spec;
   /// Root for per-session spill directories (the shared "PFS").
   std::filesystem::path spill_root;
@@ -164,7 +174,8 @@ struct ClientResult {
 
 /// Runs the whole load on the calling thread's own epoll loop; returns when
 /// every session finished (each either verified ok or recorded as failed —
-/// connection errors and broken wires fail the one session, never throw).
+/// connection errors and broken wires fail the one session, never throw,
+/// and the worker's next session connects again).
 /// On first use in a process it sets glibc's trim and mmap thresholds so
 /// freed block buffers stay in the heap (docs/service.md, "Measurement").
 ClientResult run_client_load(const ClientOptions& opts);

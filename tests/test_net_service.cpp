@@ -14,8 +14,11 @@
 // buffer, the chaos ladder against a live daemon (fault window ->
 // retry/backoff -> degrade to the shared spill directory), peer resets
 // mid-block, shutdown racing an accept, the lazily created spill directory,
-// and the EpollExecutor contract (timer ordering, channel backpressure,
-// deadlock detection, the epoll interest model, timerfd re-arming).
+// sessions back to back on one connection (the frame rules between them,
+// reconnecting after a failure, a stop between sessions), and the
+// EpollExecutor contract (timer ordering, channel backpressure, deadlock
+// detection, the epoll interest model, timerfd re-arming, bounded loop
+// passes, primitives that allocate nothing when built).
 //
 // Flake-proofing contract for CI: every server here binds port 0 and the
 // client reads the kernel-assigned port back from the server object — no
@@ -24,7 +27,9 @@
 #include <gtest/gtest.h>
 #include <malloc.h>
 #include <netinet/in.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,6 +43,7 @@
 #include <future>
 #include <mutex>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -50,6 +56,24 @@
 #include "core/zipper/net_service.hpp"
 #include "workflow/runner.hpp"
 #include "workflow/zipper_coupling.hpp"
+
+// Every operator new on a thread bumps its counter, so a test can count the
+// allocations a piece of code makes.
+namespace {
+thread_local std::uint64_t t_allocations = 0;
+}  // namespace
+
+// Out of line, so that the compiler does not pair an inlined free() with a
+// pointer it saw come from operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++t_allocations;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace fs = std::filesystem;
 using namespace zipper;
@@ -229,6 +253,113 @@ znet::SessionSpec small_spec(std::uint64_t id, const fs::path& spill) {
   spec.step_bytes = 8 * KiB;
   spec.spill_dir = spill.string();
   return spec;
+}
+
+/// An in-process daemon on its own thread, stopped and joined on scope exit
+/// so that a failed ASSERT cannot leave the thread running.
+struct LiveDaemon {
+  explicit LiveDaemon(znet::ServerOptions so = {})
+      : server(std::move(so)), thread([this] { server.run(); }) {}
+  ~LiveDaemon() { stop(); }
+  void stop() {
+    if (!thread.joinable()) return;
+    server.request_stop();
+    thread.join();
+  }
+  const znet::ServerStats& stats() const { return server.stats(); }
+
+  znet::ZipperdServer server;
+  std::thread thread;
+};
+
+/// A blocking client socket for raw-wire tests; reads time out after five
+/// seconds, so a daemon that never answers fails the test instead of
+/// hanging it.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void raw_send(int fd, const std::vector<std::byte>& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// The next frame from a raw socket; std::nullopt on EOF, error or timeout.
+std::optional<znet::Frame> raw_read_frame(int fd, znet::FrameDecoder& dec) {
+  for (;;) {
+    if (auto f = dec.next()) return f;
+    std::byte buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return std::nullopt;
+    dec.feed(buf, static_cast<std::size_t>(n));
+  }
+}
+
+/// True once the daemon has closed `fd` within the read timeout: EOF, or a
+/// reset if it closed with bytes of ours still unread.
+bool raw_sees_close(int fd) {
+  char c;
+  const ssize_t n = ::recv(fd, &c, 1, 0);
+  return n == 0 || (n < 0 && errno == ECONNRESET);
+}
+
+/// Every frame a one-producer, one-consumer client sends for `spec`: the
+/// Hello, one mixed frame per block, and the end-of-stream marker.
+std::vector<std::byte> one_producer_session(const znet::SessionSpec& spec) {
+  std::vector<std::byte> out = znet::encode_hello(spec);
+  const int nb = spec.blocks_per_step();
+  for (std::uint32_t step = 0; step < spec.steps; ++step) {
+    for (int b = 0; b < nb; ++b) {
+      znet::WireMixed m;
+      m.has_block = true;
+      m.producer = 0;
+      m.block.id = BlockId{static_cast<std::int32_t>(step), 0, b};
+      m.block.bytes = spec.block_bytes;
+      m.payload.assign(spec.block_bytes, std::byte{0x5A});
+      const auto frame = znet::encode_mixed(m);
+      out.insert(out.end(), frame.begin(), frame.end());
+    }
+  }
+  znet::WireMixed end;
+  end.done = true;
+  end.producer = 0;
+  const auto frame = znet::encode_mixed(end);
+  out.insert(out.end(), frame.begin(), frame.end());
+  return out;
+}
+
+/// A 1x1 session of two 4 KiB blocks, for the raw-wire tests.
+znet::SessionSpec raw_spec(std::uint64_t id) {
+  znet::SessionSpec spec = small_spec(id, "/tmp/zipper_raw_spill");
+  spec.producers = 1;
+  spec.consumers = 1;
+  spec.steps = 1;
+  return spec;
+}
+
+/// Reads one Summary frame off a raw connection.
+std::optional<znet::SessionSummary> raw_read_summary(int fd,
+                                                     znet::FrameDecoder& dec) {
+  const auto f = raw_read_frame(fd, dec);
+  if (!f || f->type != znet::FrameType::kSummary) return std::nullopt;
+  return znet::decode_summary(f->body);
 }
 
 /// A fresh, empty per-test directory under the system temp dir.
@@ -546,6 +677,22 @@ TEST(NetFrameCodec, PrepareCommitAtEverySplitPointDecodesLikeFeed) {
   }
 }
 
+TEST(NetFrameCodec, Zpl2HelloIsRejected) {
+  // ZPL2 daemons served one session per connection; a ZPL2 peer must fail
+  // at its first Hello, not at its second session.
+  auto wire = znet::encode_hello(small_spec(1, "/tmp/x"));
+  const std::uint32_t zpl2 = 0x5A50'4C32;  // "ZPL2", little-endian on wire
+  for (int i = 0; i < 4; ++i) {
+    wire[5 + static_cast<std::size_t>(i)] =
+        static_cast<std::byte>((zpl2 >> (8 * i)) & 0xFF);
+  }
+  znet::FrameDecoder dec;
+  dec.feed(wire.data(), wire.size());
+  const auto f = dec.next();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_THROW((void)znet::decode_hello(f->body), znet::FrameError);
+}
+
 TEST(NetFrameCodec, PreviousProtocolHelloIsRejected) {
   auto wire = znet::encode_hello(small_spec(1, "/tmp/x"));
   const std::uint32_t zpl1 = 0x5A50'4C31;  // "ZPL1", little-endian on wire
@@ -850,6 +997,97 @@ TEST(EpollExecutor, TimerfdIsSetOnlyWhenTheEarliestDeadlineChanges) {
   EXPECT_EQ(rounds, 5);
   EXPECT_EQ(ex.counters().timerfd_settime, 1u)
       << "the timerfd was re-armed on turns where its deadline did not move";
+}
+
+TEST(EpollExecutor, WakeChainsDoNotStarveFdsOrPileUpFinishedRoots) {
+  // Two coroutines ping-pong through channels, each resume waking the other,
+  // so the ready queue never empties until they finish. A third waits on an
+  // eventfd that is readable before run() starts: it must wake while the
+  // ping-pong is still going, and the short roots spawned from inside the
+  // chain must be swept as they finish.
+  constexpr int kRounds = 100'000;
+  exec::EpollExecutor ex;
+  exec::EpChannel<int> to_pong(ex, 1);
+  exec::EpChannel<int> to_ping(ex, 1);
+  const int efd = ::eventfd(1, EFD_NONBLOCK | EFD_CLOEXEC);
+  ASSERT_GE(efd, 0);
+  int rounds = 0;
+  int rounds_at_wake = -1;
+  std::size_t max_roots = 0;
+  auto short_root = []() -> sim::Task { co_return; };
+  auto ping = [&]() -> sim::Task {
+    for (; rounds < kRounds; ++rounds) {
+      ex.spawn(short_root());
+      max_roots = std::max(max_roots, ex.roots_alive());
+      co_await to_pong.send(rounds);
+      (void)co_await to_ping.recv();
+    }
+    to_pong.close();
+  };
+  auto pong = [&]() -> sim::Task {
+    while (auto v = co_await to_pong.recv()) co_await to_ping.send(*v);
+  };
+  auto waiter = [&]() -> sim::Task {
+    if (co_await ex.wait_readable(efd)) rounds_at_wake = rounds;
+    ex.cancel_fd(efd);
+  };
+  ex.spawn(waiter());
+  ex.spawn(ping());
+  ex.spawn(pong());
+  ex.run();
+  ::close(efd);
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_GE(rounds_at_wake, 0);
+  EXPECT_LT(rounds_at_wake, kRounds / 100)
+      << "the eventfd waiter woke only after the wake chain ended";
+  EXPECT_LT(max_roots, 1000u) << "finished roots were not swept mid-chain";
+}
+
+TEST(EpollExecutor, PrimitivesAllocateNothingWhenConstructed) {
+  // A session builds dozens of these; none may allocate before it is used.
+  exec::EpollExecutor ex;
+  const std::uint64_t before = t_allocations;
+  {
+    exec::EpMutex m(ex);
+    exec::EpCondVar cv(ex);
+    exec::EpLatch latch(ex, 2);
+    exec::EpChannel<int> bounded(ex, 32);
+    exec::EpChannel<core::zbody::NetEnv::MixedT> unbounded(ex);
+    EXPECT_EQ(t_allocations - before, 0u);
+  }
+  // Parking and waking go through the awaiters, not the heap: once the
+  // roots are spawned, a contended lock, a condvar wait and a latch wait
+  // allocate only the frame of the one cv.wait() call.
+  exec::EpMutex m(ex);
+  exec::EpCondVar cv(ex);
+  exec::EpLatch latch(ex, 1);
+  bool ready = false;
+  auto holder = [&]() -> sim::Task {
+    co_await m.lock();
+    co_await ex.yield();
+    m.unlock();
+  };
+  auto contender = [&]() -> sim::Task {
+    co_await m.lock();
+    while (!ready) co_await cv.wait(m);
+    m.unlock();
+    latch.count_down();
+  };
+  auto notifier = [&]() -> sim::Task {
+    co_await ex.yield();
+    co_await ex.yield();
+    ready = true;
+    cv.notify_all();
+  };
+  auto latch_waiter = [&]() -> sim::Task { co_await latch.wait(); };
+  ex.spawn(holder());
+  ex.spawn(contender());
+  ex.spawn(notifier());
+  ex.spawn(latch_waiter());
+  const std::uint64_t before_run = t_allocations;
+  ex.run();
+  EXPECT_EQ(t_allocations - before_run, 1u);
+  EXPECT_EQ(latch.pending(), 0);
 }
 
 // ------------------------------------------------------- loopback coupling --
@@ -1174,6 +1412,167 @@ TEST(NetService, StopInTheSameLoopTurnAsAnAcceptDrainsThatSession) {
   daemon.join();  // hangs here if the session accepted in that turn leaks
   client.join();
   ::close(fd);
-  EXPECT_EQ(server.stats().sessions_accepted, 2u)
+  EXPECT_EQ(server.stats().connections_accepted, 2u)
       << "the stop was handled before the accept: ordering not forced";
+}
+
+// ------------------------------------------------- sessions on a connection --
+
+TEST(NetService, SessionsRunBackToBackOnOneConnectionPerWorker) {
+  NetCase tc;
+  tc.sessions = 20;
+  tc.concurrency = 2;
+  tc.steps = 1;
+  const NetOutcome nt = run_net(tc);
+  ASSERT_EQ(nt.res.sessions_ok, 20u) << (nt.res.errors.empty()
+                                             ? "no error detail"
+                                             : nt.res.errors.front());
+  EXPECT_EQ(nt.res.blocks_analyzed, nt.res.blocks_expected);
+  ASSERT_EQ(nt.analyzed.size(), 20u);
+  for (const auto& [session, ids] : nt.analyzed) {
+    EXPECT_EQ(ids, expected_ids(1)) << "session " << session;
+  }
+  EXPECT_EQ(nt.sstats.sessions_ok, 20u);
+  EXPECT_EQ(nt.sstats.sessions_accepted, 20u);
+  EXPECT_EQ(nt.sstats.connections_accepted, 2u)
+      << "a worker opened more than one connection";
+}
+
+TEST(NetService, RawClientRunsTwoSessionsOnOneConnection) {
+  LiveDaemon d;
+  const int fd = raw_connect(d.server.port());
+  ASSERT_GE(fd, 0);
+  znet::FrameDecoder dec;
+  for (std::uint64_t id : {7u, 8u}) {
+    raw_send(fd, one_producer_session(raw_spec(id)));
+    const auto sum = raw_read_summary(fd, dec);
+    ASSERT_TRUE(sum.has_value()) << "no summary for session " << id;
+    EXPECT_TRUE(sum->ok) << sum->error;
+    EXPECT_EQ(sum->session_id, id);
+    EXPECT_EQ(sum->blocks_analyzed, 2u);
+  }
+  ::close(fd);
+  d.stop();
+  EXPECT_EQ(d.stats().sessions_ok, 2u);
+  EXPECT_EQ(d.stats().sessions_failed, 0u);
+  EXPECT_EQ(d.stats().connections_accepted, 1u);
+}
+
+TEST(NetService, MixedFrameAfterTheSummaryFailsAndClosesTheConnection) {
+  LiveDaemon d;
+  const int fd = raw_connect(d.server.port());
+  ASSERT_GE(fd, 0);
+  znet::FrameDecoder dec;
+  raw_send(fd, one_producer_session(raw_spec(1)));
+  const auto sum = raw_read_summary(fd, dec);
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_TRUE(sum->ok) << sum->error;
+  znet::WireMixed stray;
+  stray.done = true;
+  raw_send(fd, znet::encode_mixed(stray));
+  EXPECT_TRUE(raw_sees_close(fd)) << "the connection stayed open";
+  ::close(fd);
+  d.stop();
+  EXPECT_EQ(d.stats().sessions_ok, 1u);
+  EXPECT_EQ(d.stats().sessions_failed, 1u);
+  EXPECT_EQ(d.stats().sessions_accepted, 1u);
+}
+
+TEST(NetService, SecondHelloBeforeTheSummaryFailsTheSession) {
+  LiveDaemon d;
+  const int fd = raw_connect(d.server.port());
+  ASSERT_GE(fd, 0);
+  // Session 1's Hello and first block, then session 2's whole stream.
+  const auto first = one_producer_session(raw_spec(1));
+  const auto hello = znet::encode_hello(raw_spec(1));
+  std::vector<std::byte> bytes(first.begin(),
+                               first.begin() +
+                                   static_cast<std::ptrdiff_t>(hello.size()));
+  const auto second = one_producer_session(raw_spec(2));
+  bytes.insert(bytes.end(), second.begin(), second.end());
+  raw_send(fd, bytes);
+  znet::FrameDecoder dec;
+  const auto sum = raw_read_summary(fd, dec);
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_FALSE(sum->ok);
+  EXPECT_EQ(sum->session_id, 1u);
+  EXPECT_NE(sum->error.find("unexpected frame type"), std::string::npos)
+      << sum->error;
+  EXPECT_TRUE(raw_sees_close(fd)) << "the connection stayed open";
+  ::close(fd);
+  d.stop();
+  EXPECT_EQ(d.stats().sessions_ok, 0u);
+  EXPECT_EQ(d.stats().sessions_failed, 1u);
+}
+
+TEST(NetService, FailedSessionClosesItsConnectionAndTheNextReconnects) {
+  znet::ServerOptions so;
+  // Session 1's consumer throws on its first block; the daemon fails that
+  // session and keeps serving.
+  so.on_analyzed = [](std::uint64_t session, int, const BlockHeader&) {
+    if (session == 1) throw std::runtime_error("injected analysis failure");
+  };
+  LiveDaemon d(std::move(so));
+  znet::ClientOptions co;
+  co.port = d.server.port();
+  co.sessions = 3;
+  co.concurrency = 1;
+  co.spec = raw_spec(0);
+  co.spill_root = fresh_dir("zipper_reconnect");
+  const znet::ClientResult res = znet::run_client_load(co);
+  d.stop();
+  fs::remove_all(co.spill_root);
+  EXPECT_EQ(res.sessions_ok, 2u);
+  ASSERT_EQ(res.sessions_failed, 1u);
+  EXPECT_EQ(res.errors.front().rfind("session 1: ", 0), 0u)
+      << res.errors.front();
+  EXPECT_EQ(d.stats().sessions_ok, 2u);
+  EXPECT_EQ(d.stats().sessions_failed, 1u);
+  EXPECT_EQ(d.stats().connections_accepted, 2u)
+      << "the failed session's connection was reused, or session 2 did not "
+         "reconnect";
+}
+
+TEST(NetService, StopWhileAConnectionSitsBetweenSessionsDrainsCleanly) {
+  LiveDaemon d;
+  const int fd = raw_connect(d.server.port());
+  ASSERT_GE(fd, 0);
+  znet::FrameDecoder dec;
+  raw_send(fd, one_producer_session(raw_spec(1)));
+  const auto sum = raw_read_summary(fd, dec);
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_TRUE(sum->ok) << sum->error;
+  // The connection now waits for a next Hello that never comes.
+  d.stop();  // hangs here if the idle connection is not drained
+  EXPECT_TRUE(raw_sees_close(fd));
+  ::close(fd);
+  EXPECT_EQ(d.stats().sessions_ok, 1u);
+  EXPECT_EQ(d.stats().sessions_failed, 0u)
+      << "EOF between sessions was counted as a failed session";
+}
+
+TEST(NetService, AdaptiveClientSessionsShareAConnection) {
+  // A client-side controller ends every consumer's stream from every
+  // producer, even on a pinned route; the daemon must expect exactly those
+  // markers or the extra ones spill into the next session on the connection.
+  LiveDaemon d;
+  znet::ClientOptions co;
+  co.port = d.server.port();
+  co.sessions = 4;
+  co.concurrency = 1;
+  co.spec = small_spec(0, "");
+  co.spill_root = fresh_dir("zipper_adaptive_reuse");
+  co.make_controller = [] {
+    return [](const core::chaos::ControlSnapshot&) {
+      return core::chaos::ControlAction{};
+    };
+  };
+  co.control_interval = sim::kMillisecond;
+  const znet::ClientResult res = znet::run_client_load(co);
+  d.stop();
+  fs::remove_all(co.spill_root);
+  EXPECT_EQ(res.sessions_ok, 4u) << (res.errors.empty() ? "no error detail"
+                                                        : res.errors.front());
+  EXPECT_EQ(res.blocks_analyzed, res.blocks_expected);
+  EXPECT_EQ(d.stats().connections_accepted, 1u);
 }
