@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -145,11 +146,27 @@ void EpollExecutor::cancel_fd(int fd) {
   set_interest(fd, w, 0);
 }
 
+void EpollExecutor::push_timer(sim::Time deadline, std::coroutine_handle<> h) {
+  timers_.push_back(TimerEntry{deadline, timer_seq_++, h});
+  std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
+}
+
+bool EpollExecutor::wake_early(std::coroutine_handle<> h) {
+  for (TimerEntry& e : timers_) {
+    if (e.h != h) continue;
+    e.h = nullptr;  // same key, so the heap order holds
+    schedule(h);
+    return true;
+  }
+  return false;
+}
+
 void EpollExecutor::expire_timers() {
   const sim::Time t = now();
-  while (!timers_.empty() && timers_.top().deadline <= t) {
-    schedule(timers_.top().h);
-    timers_.pop();
+  while (!timers_.empty() && timers_.front().deadline <= t) {
+    if (timers_.front().h) schedule(timers_.front().h);
+    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
+    timers_.pop_back();
   }
 }
 
@@ -187,7 +204,7 @@ std::size_t EpollExecutor::drain_ready() {
 void EpollExecutor::arm_timer() {
   // Timer deadlines are absolute CLOCK_MONOTONIC via TFD_TIMER_ABSTIME, so
   // ns-granular sleeps don't round through epoll_wait's millisecond timeout.
-  const sim::Time want = timers_.empty() ? -1 : timers_.top().deadline;
+  const sim::Time want = timers_.empty() ? -1 : timers_.front().deadline;
   if (want == armed_deadline_) return;
   itimerspec its{};
   if (want >= 0) {

@@ -10,7 +10,8 @@
 // Contract surface (core/exec):
 //   spawn(Task)        — detach a root coroutine; the executor owns its frame
 //   now()              — CLOCK_MONOTONIC ns since construction (sim::Time)
-//   sleep_until(t)     — suspending timer parked on a min-heap + timerfd
+//   sleep_until(t)     — suspending timer parked on a min-heap + timerfd;
+//                        wake_early(h) ends one before its deadline
 //   yield()            — re-enqueue at the back of the ready queue
 // plus the I/O primitives the net binding is built from:
 //   wait_readable(fd) / wait_writable(fd) — suspend until epoll readiness;
@@ -52,7 +53,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -89,12 +89,15 @@ class EpollExecutor {
     EpollExecutor* ex;
     sim::Time deadline;
     bool await_ready() const noexcept { return deadline <= ex->now(); }
-    void await_suspend(std::coroutine_handle<> h) {
-      ex->timers_.push(TimerEntry{deadline, ex->timer_seq_++, h});
-    }
+    void await_suspend(std::coroutine_handle<> h) { ex->push_timer(deadline, h); }
     void await_resume() const noexcept {}
   };
   SleepAwaiter sleep_until(sim::Time t) noexcept { return {this, t}; }
+
+  /// Ends the sleep_until() that `h` is parked in: `h` resumes on the next
+  /// loop turn and its timer fires nothing. Returns false, and does nothing,
+  /// when `h` is not parked in a sleep (its timer already fired).
+  bool wake_early(std::coroutine_handle<> h);
 
   struct YieldAwaiter {
     EpollExecutor* ex;
@@ -158,6 +161,7 @@ class EpollExecutor {
                                // arm_io returns (an entry with none is erased)
   };
 
+  void push_timer(sim::Time deadline, std::coroutine_handle<> h);
   void arm_io(IoAwaiter* aw, std::coroutine_handle<> h);
   /// Re-registers `fd` with `events`; 0 drops it from the set and the map.
   void set_interest(int fd, FdWait& w, std::uint32_t events);
@@ -176,9 +180,10 @@ class EpollExecutor {
   int timerfd_ = -1;
   sim::Time t0_ = 0;
   common::RingBuffer<std::coroutine_handle<>> ready_;
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>,
-                      std::greater<TimerEntry>>
-      timers_;
+  // Min-heap on (deadline, seq) under std::greater. An entry whose sleeper
+  // was woken early keeps its place with a null handle: at its deadline it
+  // wakes the loop once and resumes nothing.
+  std::vector<TimerEntry> timers_;
   std::uint64_t timer_seq_ = 0;
   sim::Time armed_deadline_ = -1;  // what the timerfd holds; -1 = disarmed
   std::unordered_map<int, FdWait> fd_waits_;

@@ -215,6 +215,8 @@ class ZipperBody {
   // -- shutdown (threaded facade) -------------------------------------------
   /// Unblocks every consumer-side stage (emergency teardown).
   void emergency_close_consumers();
+  /// Completes once control_main returned (after the env's stop_control()).
+  Task wait_control_done();
 
   // -- observability --------------------------------------------------------
   void aggregate_into(exec::AggregateStats& out) const { agg_.snapshot(out); }
@@ -274,6 +276,7 @@ class ZipperBody {
   std::atomic<bool> consumer_steal_{false};
   std::atomic<std::uint64_t> live_block_bytes_{0};
   std::atomic<sched::RouteKind> route_kind_;
+  typename B::Latch control_done_;  // counted down as control_main returns
 };
 
 }  // namespace zipper::core::zbody

@@ -71,7 +71,8 @@ ZipperBody<B>::ZipperBody(Env& env, BodyConfig cfg, int num_producers,
       live_control_(static_cast<bool>(cfg_.controller)),
       spill_on_(cfg_.enable_steal),
       consumer_steal_(cfg_.sched.consumer_steal),
-      route_kind_(cfg_.sched.route) {
+      route_kind_(cfg_.sched.route),
+      control_done_(env.prim(), live_control_ ? 1 : 0) {
   // With a live controller the spill channel may be switched on mid-run, so
   // the writers exist (and the SpillPolicy is armed) even when the run starts
   // with spilling off; spill_on_ gates them until then.
@@ -403,6 +404,12 @@ typename B::Task ZipperBody<B>::control_main() {
     const chaos::ControlAction act = cfg_.controller(snap);
     if (act.any()) co_await apply_action(act);
   }
+  control_done_.count_down();
+}
+
+template <class B>
+typename B::Task ZipperBody<B>::wait_control_done() {
+  co_await control_done_.wait();
 }
 
 template <class B>

@@ -313,8 +313,10 @@ class NetEnv {
 
   // ------------------------------------------------------- misc contract ----
 
+  /// One controller interval, cut short by stop_control(); `alive` is false
+  /// once stopped.
   sim::Task control_tick(sim::Time interval, bool& alive) {
-    co_await sleep(interval);
+    if (!stopped_) co_await TickAwaiter{this, ex_->now() + interval};
     alive = !stopped_;
   }
 
@@ -328,7 +330,10 @@ class NetEnv {
   }
   sim::Task drain_nap() { co_await sleep(kStealPoll); }
 
-  void stop_control() noexcept { stopped_ = true; }
+  void stop_control() {
+    stopped_ = true;
+    if (tick_h_) ex_->wake_early(std::exchange(tick_h_, {}));
+  }
 
   void close_transport() {
     for (auto& n : nets_) {
@@ -339,6 +344,18 @@ class NetEnv {
  private:
   static constexpr sim::Time kStealPoll = 500 * sim::kMicrosecond;
 
+  /// control_tick's sleep, which stop_control() can end early.
+  struct TickAwaiter {
+    NetEnv* env;
+    sim::Time deadline;
+    bool await_ready() const noexcept { return deadline <= env->ex_->now(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      env->tick_h_ = h;
+      env->ex_->sleep_until(deadline).await_suspend(h);
+    }
+    void await_resume() const noexcept { env->tick_h_ = {}; }
+  };
+
   exec::EpollExecutor* ex_;
   NetEnvConfig cfg_;
   sim::Time et0_ = ex_->now();
@@ -348,6 +365,7 @@ class NetEnv {
   std::string io_error_;
   bool made_spill_dir_ = false;
   bool stopped_ = false;
+  std::coroutine_handle<> tick_h_;  // control_tick parked in its sleep
   std::vector<std::unique_ptr<exec::EpChannel<MixedT>>> nets_;
 };
 

@@ -688,10 +688,10 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
   for (int p = 0; p < P; ++p) co_await body.producer_finalize(p);
   for (int p = 0; p < P; ++p) co_await body.wait_sender_done(p);
   if (bc.controller) {
-    // control_main's in-flight tick completes within one interval of the
-    // stop flag; wait it out so the body outlives its last snapshot.
+    // Cut the in-flight control tick short and wait for control_main to
+    // return, so the body outlives its last snapshot.
     env.stop_control();
-    co_await env.sleep(2 * bc.control_interval);
+    co_await body.wait_control_done();
   }
 
   SessionSummary sum;

@@ -26,7 +26,7 @@ double compute_total_s(const ScenarioSpec& spec, const ScenarioResult& r) {
 }
 
 bool pipelined(const ScenarioSpec& spec) {
-  return spec.pipeline.enabled && !spec.pipeline.trivial();
+  return spec.pipeline.num_edges() > 1;
 }
 
 /// One rank band per pipeline stage, mirroring PipelineCoupling's contiguous
@@ -62,7 +62,7 @@ bool observe(const ScenarioSpec& spec, const ScenarioResult& r,
   obs.store_total_s = r.get("store_busy_s");
   obs.preserve = spec.zipper.preserve;
   if (pipelined(spec)) {
-    // The legacy metric keys a pipelined run publishes come from edge 0,
+    // The top-level metric keys a pipelined run publishes come from edge 0,
     // whose consumers are stage 1's ranks and whose store term is zero
     // (Preserve rides the last edge only).
     obs.consumers = spec.pipeline.resolved_ranks(

@@ -1546,7 +1546,7 @@ std::vector<ScenarioSpec> ablation_compress_scenarios(bool full) {
   for (const double cx : {1.0, 2.0, 4.0, 8.0}) {
     auto s = base;
     s.pipeline = workflow::make_chain(2, 2, cx);
-    char buf[32];
+    char buf[48];  // room for any %g, so the label is never cut
     std::snprintf(buf, sizeof buf, "ablation_compress/cx%g", cx);
     s.label = buf;
     out.push_back(s);

@@ -48,8 +48,8 @@ struct SweepGrid {
   // Pipeline axes (workflow/pipeline.hpp; docs/pipelines.md): any non-empty
   // axis switches the point to a workflow::make_chain pipeline composed of
   // (stages, fan, compress, staging), defaulting the others to
-  // depth 2 / fan 1 / compress 1 / staging on. --stages 1 is the trivial
-  // chain, i.e. the legacy single-coupling path.
+  // depth 2 / fan 1 / compress 1 / staging on. --stages 1 is the one-edge
+  // chain, the paper's single hop.
   std::vector<int> pipeline_stages;      // chain depth (downstream stages)
   std::vector<int> pipeline_fan;         // fan-in divisor per derived stage
   std::vector<double> pipeline_compress; // per-edge compression (edges >= 1)

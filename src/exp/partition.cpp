@@ -129,10 +129,11 @@ workflow::ShardPlan plan_shards(const ScenarioSpec& spec, int threads) {
     return sequential("method '" + transports::method_token(*spec.method) +
                       "' couples through global staging state");
   spec.pipeline.validate();
-  if (spec.pipeline.enabled && !spec.pipeline.trivial())
-    return sequential("multi-stage pipeline");
+  if (spec.pipeline.num_edges() > 1) return sequential("multi-stage pipeline");
   const int P = spec.producers;
-  const int Q = spec.effective_consumers();
+  // Stage 1 of the chain is the consumer allocation; a chain may pin it.
+  const int Q = spec.pipeline.resolved_ranks(
+      P, std::max(1, spec.effective_consumers()))[1];
   if (Q < 2) return sequential("fewer than 2 consumers");
   if (P < Q) return sequential("P < Q (fan-out routing)");
   const int servers = spec.servers

@@ -5,7 +5,7 @@
 // specs (quick mode by default, --full for the paper-size matrix), and
 // present() renders the measured results the way the original bench/fig*
 // harness did — same tables, same paper-value columns, same shape checks.
-// zipper_lab and the thin bench/ drivers both go through run_figure().
+// `zipper_lab run` drives every figure through run_figure().
 #pragma once
 
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <numeric>
 #include <stdexcept>
 
 #include "exp/partition.hpp"
@@ -119,7 +120,6 @@ workflow::ClusterSpec make_cluster_spec(const ScenarioSpec& spec) {
 }
 
 std::vector<model::ModelInput> pipeline_model_inputs(const ScenarioSpec& spec) {
-  if (!spec.pipeline.enabled) return {model_input_for(spec)};
   spec.pipeline.validate();
   const auto& pl = spec.pipeline;
   const auto profile = make_profile(spec);
@@ -213,33 +213,28 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   const auto cspec = make_cluster_spec(spec);
   const int P = spec.producers;
   const int Q = spec.effective_consumers();
-  // Trivial pipelines (1 all-default zip edge) lower onto the legacy path so
-  // their artifacts are byte-identical to the equivalent plain spec.
+  // Every Zipper run is a chain, by default the paper's single hop.
   spec.pipeline.validate();
-  const bool pipelined = spec.pipeline.enabled && !spec.pipeline.trivial();
-  std::vector<int> stage_ranks;
-  if (pipelined) {
-    if (!spec.method || *spec.method != transports::Method::kZipper) {
-      throw std::invalid_argument(
-          "pipeline scenarios require --method zipper (the chain reuses the "
-          "Zipper runtime per edge)");
-    }
-    stage_ranks = spec.pipeline.resolved_ranks(P, std::max(1, Q));
+  const bool zipper =
+      spec.method && *spec.method == transports::Method::kZipper;
+  const bool multi_edge = spec.pipeline.num_edges() > 1;
+  if (multi_edge && !zipper) {
+    throw std::invalid_argument(
+        "pipeline scenarios require --method zipper (the chain reuses the "
+        "Zipper runtime per edge)");
   }
+  // Stage 1 takes the consumer allocation; stages >= 2 occupy the server
+  // slots (dedicated staging nodes — or colocated helper ranks whose edges
+  // run at memory speed, see workflow/pipeline.hpp). Simulation-only runs
+  // drop the analysis ranks, like the paper's baseline.
+  const auto stage_ranks = spec.pipeline.resolved_ranks(P, std::max(1, Q));
   int servers =
       spec.servers ? *spec.servers
                    : (spec.method ? transports::servers_for(*spec.method, P) : 0);
-  // Simulation-only runs drop the analysis ranks, like the paper's baseline.
-  workflow::Layout layout{P, spec.method ? Q : 0, servers};
-  if (pipelined) {
-    // Stage 1 takes the consumer allocation; deeper stages occupy the
-    // layout's server slots (dedicated staging nodes — or colocated helper
-    // ranks whose edges run at memory speed, see workflow/pipeline.hpp).
-    servers = 0;
-    for (std::size_t i = 2; i < stage_ranks.size(); ++i)
-      servers += stage_ranks[i];
-    layout = workflow::Layout{P, stage_ranks[1], servers};
-  }
+  if (multi_edge)
+    servers = std::accumulate(stage_ranks.begin() + 2, stage_ranks.end(), 0);
+  const workflow::Layout layout{
+      P, zipper ? stage_ranks[1] : (spec.method ? Q : 0), servers};
 
   // Sharded parallel execution: only a plan the partitioner proved fully
   // decomposable runs sharded; everything else (including every legacy spec,
@@ -273,7 +268,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     // The producer dimension only feeds the drift axis, which always targets
     // the simulation's compute (stage 0); straggler/fault consumers follow
     // the pipeline's chaos edge.
-    const int chaos_q = pipelined
+    const int chaos_q = zipper
                             ? stage_ranks[static_cast<std::size_t>(
                                   spec.pipeline.chaos_edge) + 1]
                             : std::max(Q, 1);
@@ -300,11 +295,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // The sharded path builds its own per-shard slice couplings from zcfg.
   std::unique_ptr<workflow::Coupling> coupling;
   if (spec.method && !plan.sharded()) {
-    coupling = pipelined
-                   ? transports::make_pipeline_coupling(*cluster, profile,
-                                                        zcfg, spec.pipeline)
-                   : transports::make_coupling(*spec.method, *cluster, profile,
-                                               spec.params, zcfg);
+    coupling = transports::make_coupling(*spec.method, *cluster, profile,
+                                         spec.params, zcfg, spec.pipeline);
   }
 
   out.put("steps", profile.steps);
@@ -316,8 +308,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   workflow::ShardRunInfo shard_info;
   try {
     r = plan.sharded()
-            ? workflow::run_workflow_sharded(*cluster, profile, zcfg, plan,
-                                             &shard_info)
+            ? workflow::run_workflow_sharded(*cluster, profile, zcfg,
+                                             spec.pipeline, plan, &shard_info)
             : workflow::run_workflow(*cluster, profile, coupling.get(),
                                      chaos_engine.get());
   } catch (const transports::DecafCountOverflow& e) {
@@ -350,7 +342,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   }
 
   if (spec.with_model) {
-    if (pipelined) {
+    if (multi_edge) {
       const auto pp = model::predict_pipeline(pipeline_model_inputs(spec));
       out.put("model_end_to_end_s", pp.t_end_to_end);
       out.put("model_dominant_edge", pp.dominant_edge);

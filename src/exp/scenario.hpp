@@ -100,12 +100,11 @@ struct ScenarioSpec {
   // error is a standard artifact output (meaningful for the Zipper pipeline).
   bool with_model = false;
 
-  // N-stage pipeline graph (workflow/pipeline.hpp): disabled by default, in
-  // which case the scenario is the single producer->consumer coupling above.
-  // An enabled-but-trivial() spec (1 all-default zip edge) lowers onto the
-  // exact legacy code path, so its artifacts are byte-identical. Non-trivial
-  // pipelines require method == kZipper; stage-1 ranks default to
-  // effective_consumers(), deeper stages occupy the layout's server slots.
+  // N-stage pipeline graph (workflow/pipeline.hpp), by default the paper's
+  // single hop (make_chain(1)). Every Zipper run goes through
+  // PipelineCoupling; chains of two or more edges require method ==
+  // kZipper. Stage-1 ranks default to effective_consumers(), deeper stages
+  // occupy the layout's server slots.
   // With chaos enabled, the engine's rank dimensions follow
   // pipeline.chaos_edge so fault windows land on that edge's consumers.
   workflow::PipelineSpec pipeline;

@@ -175,8 +175,8 @@ Tuner::Tuner(exp::ScenarioSpec base, SearchSpace space, TuneOptions opts)
 
 double Tuner::predict_objective(const Candidate& cand,
                                 const model::Calibration& calib) const {
-  if (opts_.objective == Objective::kEndToEnd && base_.pipeline.enabled &&
-      !base_.pipeline.trivial()) {
+  if (opts_.objective == Objective::kEndToEnd &&
+      base_.pipeline.num_edges() > 1) {
     // Pipelined base: the end-to-end bound is the bottleneck edge of the
     // stage chain, so score the candidate's knobs through the per-edge
     // equations (the candidate's block size reshapes every edge's input).
@@ -184,8 +184,8 @@ double Tuner::predict_objective(const Candidate& cand,
         calib, exp::pipeline_model_inputs(cand.apply(base_))));
     return pp.t_end_to_end;
   }
-  // The producer-stall objective (and the trivial-pipeline e2e) reduces to
-  // the legacy single-coupling view: stall is an edge-0 phenomenon — the
+  // The producer-stall objective (and a one-edge chain's e2e) reduces to
+  // the single-coupling view: stall is an edge-0 phenomenon — the
   // producers only ever see the first edge's backpressure.
   const int P = base_.producers;
   const int Q = std::max(1, base_.effective_consumers());

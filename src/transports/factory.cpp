@@ -7,7 +7,6 @@
 #include "transports/mpiio.hpp"
 #include "transports/staging.hpp"
 #include "workflow/pipeline_coupling.hpp"
-#include "workflow/zipper_coupling.hpp"
 
 namespace zipper::transports {
 
@@ -82,7 +81,8 @@ int servers_for(Method m, int producers) {
 
 std::unique_ptr<workflow::Coupling> make_coupling(
     Method m, workflow::Cluster& cluster, const apps::WorkloadProfile& profile,
-    const TransportParams& params, const core::dsim::SimZipperConfig& zipper_cfg) {
+    const TransportParams& params, const core::dsim::SimZipperConfig& zipper_cfg,
+    const workflow::PipelineSpec& pipeline) {
   switch (m) {
     case Method::kMpiIo:
       return std::make_unique<MpiIoCoupling>(cluster, profile, params);
@@ -105,18 +105,10 @@ std::unique_ptr<workflow::Coupling> make_coupling(
     case Method::kDecaf:
       return std::make_unique<DecafCoupling>(cluster, profile, params);
     case Method::kZipper:
-      return std::make_unique<workflow::ZipperCoupling>(cluster, profile,
-                                                        zipper_cfg);
+      return std::make_unique<workflow::PipelineCoupling>(cluster, profile,
+                                                          zipper_cfg, pipeline);
   }
   return nullptr;
-}
-
-std::unique_ptr<workflow::Coupling> make_pipeline_coupling(
-    workflow::Cluster& cluster, const apps::WorkloadProfile& profile,
-    const core::dsim::SimZipperConfig& zipper_cfg,
-    const workflow::PipelineSpec& pipeline) {
-  return std::make_unique<workflow::PipelineCoupling>(cluster, profile,
-                                                      zipper_cfg, pipeline);
 }
 
 }  // namespace zipper::transports

@@ -48,18 +48,14 @@ const std::vector<Method>& all_methods();
 /// 64 links per 256 producers i.e. P/4; others: none).
 int servers_for(Method m, int producers);
 
+/// Builds method `m`'s coupling. kZipper runs `pipeline` (by default the
+/// paper's single hop) as a PipelineCoupling with `zipper_cfg` as the
+/// per-edge template; see its constructor for the layout it needs. The other
+/// methods ignore `zipper_cfg` and `pipeline`.
 std::unique_ptr<workflow::Coupling> make_coupling(
     Method m, workflow::Cluster& cluster, const apps::WorkloadProfile& profile,
     const TransportParams& params = {},
-    const core::dsim::SimZipperConfig& zipper_cfg = {});
-
-/// Multi-stage variant: builds a PipelineCoupling executing `pipeline` with
-/// `zipper_cfg` as the per-edge template (each edge applies its method's
-/// flow-control/rate preset on top). The cluster's layout must be
-/// {ranks[0], ranks[1], sum(ranks[2..])} of pipeline.resolved_ranks.
-std::unique_ptr<workflow::Coupling> make_pipeline_coupling(
-    workflow::Cluster& cluster, const apps::WorkloadProfile& profile,
-    const core::dsim::SimZipperConfig& zipper_cfg,
-    const workflow::PipelineSpec& pipeline);
+    const core::dsim::SimZipperConfig& zipper_cfg = {},
+    const workflow::PipelineSpec& pipeline = {});
 
 }  // namespace zipper::transports

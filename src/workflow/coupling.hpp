@@ -39,7 +39,7 @@ class Coupling {
   virtual int producer_blocks_per_step() const { return 1; }
 
   /// Producer rank p is done; flush and signal end-of-stream downstream.
-  virtual sim::Task producer_finalize(int p) { co_return; }
+  virtual sim::Task producer_finalize(int /*p*/) { co_return; }
 
   /// The whole consumer process c: obtain data, analyze, terminate once all
   /// upstream producers finished.

@@ -25,19 +25,7 @@ std::optional<EdgeMethod> parse_edge_method(const std::string& token) {
   return std::nullopt;
 }
 
-bool PipelineSpec::trivial() const {
-  if (!enabled) return true;
-  if (stages.size() != 2 || edges.size() != 1) return false;
-  if (edges[0].method != EdgeMethod::kZip || edges[0].compression != 1.0)
-    return false;
-  for (const auto& s : stages) {
-    if (s.ranks != 0 || s.work_factor != 1.0) return false;
-  }
-  return true;
-}
-
 void PipelineSpec::validate() const {
-  if (!enabled) return;
   auto fail = [](const std::string& what) {
     throw std::invalid_argument("pipeline: " + what);
   };
@@ -100,9 +88,9 @@ std::string PipelineSpec::summary(int producers, int consumers) const {
 PipelineSpec make_chain(int depth, int fan, double compress, bool staging) {
   if (depth < 1) throw std::invalid_argument("pipeline: depth must be >= 1");
   PipelineSpec pl;
-  pl.enabled = true;
   pl.fan = fan;
-  pl.stages.push_back({"sim", 0, 1.0, true});
+  pl.stages.assign(1, {"sim"});
+  pl.edges.clear();
   for (int d = 0; d < depth; ++d) {
     PipelineStage s;
     // Template names so chains read naturally at every depth:

@@ -6,7 +6,8 @@
 // nodes, fan-in reductions, bandwidth-reducing compression on the wire
 // (Catalyst-ADIOS2, PAPERS.md). A PipelineSpec describes such a chain
 // declaratively; PipelineCoupling (pipeline_coupling.hpp) executes it by
-// chaining one SimZipper instance per edge, and the §4 model composes the
+// chaining one SimZipper instance per edge (the paper's single hop is the
+// one-edge chain, make_chain(1)), and the §4 model composes the
 // per-edge stage equations into a multi-stage bottleneck analysis
 // (model::predict_pipeline).
 //
@@ -51,13 +52,15 @@ struct PipelineEdge {
   double compression = 1.0;
 };
 
+/// The default spec is the paper's single hop, sim -> analyze: the same
+/// chain as make_chain(1).
 struct PipelineSpec {
-  bool enabled = false;
   // Fan-in: a derived (ranks == 0) stage i >= 2 gets the previous stage's
   // rank count divided by this factor (floored at 1).
   int fan = 1;
-  std::vector<PipelineStage> stages;  // stages[i]; stage 0 = the simulation
-  std::vector<PipelineEdge> edges;    // edges[i]: stages[i] -> stages[i+1]
+  // stages[i]; stage 0 = the simulation.
+  std::vector<PipelineStage> stages = {{"sim"}, {"analyze"}};
+  std::vector<PipelineEdge> edges = {PipelineEdge{}};  // stages[i] -> [i+1]
   // Which edge the chaos engine / online controller attach to. 0 targets the
   // paper's producer->consumer hop; an interior edge exercises the
   // retry->spill resilience path across a multi-hop chain.
@@ -65,14 +68,7 @@ struct PipelineSpec {
 
   int num_edges() const { return static_cast<int>(edges.size()); }
 
-  /// True when the spec reduces to the legacy single-coupling path: one
-  /// all-default zip edge. run_scenario lowers such specs onto the exact
-  /// legacy code path, so their artifacts are byte-identical by
-  /// construction (enforced by the differential test + golden harness).
-  bool trivial() const;
-
-  /// Throws std::invalid_argument on an inconsistent graph. No-op when
-  /// disabled.
+  /// Throws std::invalid_argument on an inconsistent graph.
   void validate() const;
 
   /// Per-stage rank counts for a concrete workflow shape: stage 0 takes
@@ -88,7 +84,7 @@ struct PipelineSpec {
 /// --staging) and the hybrid figures: `depth` downstream stages after the
 /// simulation, named from the {reduce, analyze, store} template. Every edge
 /// is kZip; edges >= 1 carry `compress`; stages >= 2 get the `staging` flag.
-/// depth == 1 is trivial() — the legacy shape — whatever fan/compress say.
+/// depth == 1 is the paper's single hop whatever fan/compress say.
 PipelineSpec make_chain(int depth, int fan = 1, double compress = 1.0,
                         bool staging = true);
 

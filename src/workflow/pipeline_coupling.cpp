@@ -56,32 +56,107 @@ core::dsim::SimZipperConfig edge_config(const core::dsim::SimZipperConfig& base,
   return c;
 }
 
+/// A shard slice's hook reporting global producer/consumer indices.
+std::function<void(int, const core::BlockHeader&)> rebased(
+    std::function<void(int, const core::BlockHeader&)> fn, const ShardGroup& g) {
+  if (!fn) return nullptr;
+  return [fn = std::move(fn), p0 = g.p0, c0 = g.c0](int c,
+                                                    const core::BlockHeader& h) {
+    core::BlockHeader gh = h;
+    gh.id.producer += p0;
+    fn(c0 + c, gh);
+  };
+}
+
 }  // namespace
+
+void accumulate_stats(core::dsim::SimZipperStats& into,
+                      const core::dsim::SimZipperStats& s) {
+  into.producer_stall += s.producer_stall;
+  into.sender_busy += s.sender_busy;
+  into.writer_busy += s.writer_busy;
+  into.analysis_busy += s.analysis_busy;
+  into.store_busy += s.store_busy;
+  into.blocks_total += s.blocks_total;
+  into.blocks_stolen += s.blocks_stolen;
+  into.blocks_consumer_stolen += s.blocks_consumer_stolen;
+  into.blocks_analyzed += s.blocks_analyzed;
+  into.bytes_via_network += s.bytes_via_network;
+  into.bytes_via_pfs += s.bytes_via_pfs;
+  into.put_retries += s.put_retries;
+  into.blocks_spilled_slow += s.blocks_spilled_slow;
+  into.control_actions += s.control_actions;
+}
+
+std::map<std::string, double> zipper_metrics(
+    const core::dsim::SimZipperStats& s, bool chaos) {
+  std::map<std::string, double> m{
+      {"stall_s", sim::to_seconds(s.producer_stall)},
+      {"sender_busy_s", sim::to_seconds(s.sender_busy)},
+      {"writer_busy_s", sim::to_seconds(s.writer_busy)},
+      {"analysis_busy_s", sim::to_seconds(s.analysis_busy)},
+      {"store_busy_s", sim::to_seconds(s.store_busy)},
+      {"blocks_total", static_cast<double>(s.blocks_total)},
+      {"blocks_stolen", static_cast<double>(s.blocks_stolen)},
+      {"consumer_steals", static_cast<double>(s.blocks_consumer_stolen)},
+      {"steal_fraction", s.blocks_total
+                             ? static_cast<double>(s.blocks_stolen) / s.blocks_total
+                             : 0.0},
+      {"bytes_via_network", static_cast<double>(s.bytes_via_network)},
+      {"bytes_via_pfs", static_cast<double>(s.bytes_via_pfs)},
+  };
+  if (chaos) {
+    m.emplace("put_retries", static_cast<double>(s.put_retries));
+    m.emplace("blocks_spilled_slow", static_cast<double>(s.blocks_spilled_slow));
+    m.emplace("control_actions", static_cast<double>(s.control_actions));
+  }
+  return m;
+}
 
 PipelineCoupling::PipelineCoupling(Cluster& cluster,
                                    const apps::WorkloadProfile& profile,
                                    const core::dsim::SimZipperConfig& cfg,
                                    const PipelineSpec& pipeline)
-    : cl_(&cluster),
-      pl_(pipeline),
-      chaos_(cfg.chaos != nullptr || static_cast<bool>(cfg.controller)) {
+    : cl_(&cluster), pl_(pipeline) {
   pl_.validate();
-  if (!pl_.enabled) throw std::invalid_argument("pipeline: spec not enabled");
   const auto& lay = cluster.layout();
   ranks_ = pl_.resolved_ranks(lay.producers, lay.consumers);
-  const std::size_t E = pl_.edges.size();
   base_rank_.resize(ranks_.size());
   base_rank_[0] = 0;
   for (std::size_t i = 1; i < ranks_.size(); ++i)
     base_rank_[i] = base_rank_[i - 1] + ranks_[i - 1];
   assert(ranks_[0] == lay.producers && ranks_[1] == lay.consumers &&
          "cluster layout does not match the pipeline's resolved ranks");
+  build(cluster.sim, profile, cfg);
+}
 
+PipelineCoupling::PipelineCoupling(Cluster& cluster, int shard,
+                                   const apps::WorkloadProfile& profile,
+                                   const core::dsim::SimZipperConfig& cfg,
+                                   const PipelineSpec& pipeline,
+                                   const ShardGroup& g)
+    : cl_(&cluster), pl_(pipeline) {
+  pl_.validate();
+  if (pl_.num_edges() != 1)
+    throw std::invalid_argument("pipeline: a shard slice needs a one-edge chain");
+  ranks_ = {g.p1 - g.p0, g.c1 - g.c0};
+  base_rank_ = {cluster.producer_rank(g.p0), cluster.consumer_rank(g.c0)};
+  core::dsim::SimZipperConfig local = cfg;
+  local.on_analyzed = rebased(cfg.on_analyzed, g);
+  local.on_output = rebased(cfg.on_output, g);
+  build(cluster.shard_sim(shard), profile, local);
+}
+
+void PipelineCoupling::build(sim::Simulation& kernel,
+                             const apps::WorkloadProfile& profile,
+                             const core::dsim::SimZipperConfig& cfg) {
+  chaos_ = cfg.chaos != nullptr || static_cast<bool>(cfg.controller);
+  const std::size_t E = pl_.edges.size();
   relays_.resize(E);
   for (std::size_t e = 1; e < E; ++e) {
     for (int p = 0; p < ranks_[e]; ++p) {
       relays_[e].push_back(
-          std::make_unique<sim::Channel<core::BlockHeader>>(cluster.sim));
+          std::make_unique<sim::Channel<core::BlockHeader>>(kernel));
     }
   }
 
@@ -106,13 +181,13 @@ PipelineCoupling::PipelineCoupling(Cluster& cluster,
       };
     }
     zips_.push_back(std::make_unique<core::dsim::SimZipper>(
-        cluster.sim, *cluster.world, *cluster.fs, cluster.recorder, prof, c,
-        ranks_[e], ranks_[e + 1], base_rank_[e + 1]));
+        kernel, *cl_->world, *cl_->fs, cl_->recorder, prof, c, ranks_[e],
+        ranks_[e + 1], base_rank_[e + 1]));
   }
 
   std::int64_t interior = 0;
   for (std::size_t e = 1; e < E; ++e) interior += ranks_[e + 1];
-  chain_done_ = std::make_unique<sim::Latch>(cluster.sim, interior);
+  chain_done_ = std::make_unique<sim::Latch>(kernel, interior);
 }
 
 void PipelineCoupling::spawn_services() {
@@ -177,50 +252,23 @@ sim::Task PipelineCoupling::stage_consumer(std::size_t e, int c) {
 }
 
 std::map<std::string, double> PipelineCoupling::metrics() const {
-  // Edge 0 publishes under the legacy key set so every downstream reader
-  // (analyze's observe(), presenters, the tuner probe) keeps working
-  // unchanged; per-edge values carry an e<i>_ prefix.
-  const auto& s0 = zips_[0]->stats();
-  std::map<std::string, double> m{
-      {"stall_s", sim::to_seconds(s0.producer_stall)},
-      {"sender_busy_s", sim::to_seconds(s0.sender_busy)},
-      {"writer_busy_s", sim::to_seconds(s0.writer_busy)},
-      {"analysis_busy_s", sim::to_seconds(s0.analysis_busy)},
-      {"store_busy_s", sim::to_seconds(s0.store_busy)},
-      {"blocks_total", static_cast<double>(s0.blocks_total)},
-      {"blocks_stolen", static_cast<double>(s0.blocks_stolen)},
-      {"consumer_steals", static_cast<double>(s0.blocks_consumer_stolen)},
-      {"steal_fraction",
-       s0.blocks_total
-           ? static_cast<double>(s0.blocks_stolen) / s0.blocks_total
-           : 0.0},
-      {"bytes_via_network", static_cast<double>(s0.bytes_via_network)},
-      {"bytes_via_pfs", static_cast<double>(s0.bytes_via_pfs)},
-  };
+  // Edge 0 publishes the top-level keys every reader uses (analyze's
+  // observe(), presenters, the tuner probe). A one-edge chain publishes only
+  // those, its resilience counters included; a longer chain adds the edge
+  // count and an e<i>_ breakdown, where the chaos edge's counters live.
+  auto m = zipper_metrics(zips_[0]->stats(), chaos_ && zips_.size() == 1);
+  if (zips_.size() == 1) return m;
   m.emplace("pipeline_edges", static_cast<double>(zips_.size()));
   for (std::size_t e = 0; e < zips_.size(); ++e) {
+    // The same formula per edge, less the steal ratio, plus the analyzed
+    // count that shows what each hop delivered.
     const auto& s = zips_[e]->stats();
     const std::string k = "e" + std::to_string(e) + "_";
-    m.emplace(k + "stall_s", sim::to_seconds(s.producer_stall));
-    m.emplace(k + "sender_busy_s", sim::to_seconds(s.sender_busy));
-    m.emplace(k + "writer_busy_s", sim::to_seconds(s.writer_busy));
-    m.emplace(k + "analysis_busy_s", sim::to_seconds(s.analysis_busy));
-    m.emplace(k + "store_busy_s", sim::to_seconds(s.store_busy));
-    m.emplace(k + "blocks_total", static_cast<double>(s.blocks_total));
-    m.emplace(k + "blocks_analyzed", static_cast<double>(s.blocks_analyzed));
-    m.emplace(k + "blocks_stolen", static_cast<double>(s.blocks_stolen));
-    m.emplace(k + "consumer_steals",
-              static_cast<double>(s.blocks_consumer_stolen));
-    m.emplace(k + "bytes_via_network",
-              static_cast<double>(s.bytes_via_network));
-    m.emplace(k + "bytes_via_pfs", static_cast<double>(s.bytes_via_pfs));
-    if (chaos_ && static_cast<int>(e) == pl_.chaos_edge) {
-      m.emplace(k + "put_retries", static_cast<double>(s.put_retries));
-      m.emplace(k + "blocks_spilled_slow",
-                static_cast<double>(s.blocks_spilled_slow));
-      m.emplace(k + "control_actions",
-                static_cast<double>(s.control_actions));
+    const bool chaos = chaos_ && static_cast<int>(e) == pl_.chaos_edge;
+    for (const auto& [name, v] : zipper_metrics(s, chaos)) {
+      if (name != "steal_fraction") m.emplace(k + name, v);
     }
+    m.emplace(k + "blocks_analyzed", static_cast<double>(s.blocks_analyzed));
   }
   return m;
 }

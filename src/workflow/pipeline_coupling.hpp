@@ -1,6 +1,7 @@
-// Multi-stage pipeline coupling: executes a PipelineSpec chain by running one
-// SimZipper instance per edge and splicing them together with forwarding
-// coroutines.
+// The Zipper coupling: executes a PipelineSpec chain by running one SimZipper
+// instance per edge and splicing them together with forwarding coroutines.
+// The paper's single producer->consumer hop is the one-edge chain
+// (make_chain(1)); every Zipper scenario, sequential or sharded, runs here.
 //
 // Edge e's consumers ARE edge e+1's producers — the same world ranks, with
 // the downstream SimZipper's first_producer_rank pointing at them. When a
@@ -31,8 +32,22 @@
 #include "workflow/cluster.hpp"
 #include "workflow/coupling.hpp"
 #include "workflow/pipeline.hpp"
+#include "workflow/runner.hpp"
 
 namespace zipper::workflow {
+
+/// Field-wise sum of slice counters. All fields are integers, so summing the
+/// shard slices, then applying zipper_metrics(), reproduces the whole run's
+/// metrics byte-for-byte.
+void accumulate_stats(core::dsim::SimZipperStats& into,
+                      const core::dsim::SimZipperStats& s);
+
+/// The metric map every Zipper figure reads, as a pure function of one
+/// edge's counters so the sequential path (one runtime) and the sharded path
+/// (summed slices) share one formula. The resilience counters appear only
+/// with `chaos`, so default artifacts keep the pre-chaos layout.
+std::map<std::string, double> zipper_metrics(
+    const core::dsim::SimZipperStats& s, bool chaos);
 
 class PipelineCoupling : public Coupling {
  public:
@@ -44,7 +59,15 @@ class PipelineCoupling : public Coupling {
                    const core::dsim::SimZipperConfig& cfg,
                    const PipelineSpec& pipeline);
 
-  std::string name() const override { return "Pipeline"; }
+  /// Shard slice of a one-edge chain (run_workflow_sharded): producers
+  /// [g.p0, g.p1) and consumers [g.c0, g.c1) on shard `shard`'s kernel,
+  /// numbered from 0 locally. cfg's hooks still see global indices.
+  PipelineCoupling(Cluster& cluster, int shard,
+                   const apps::WorkloadProfile& profile,
+                   const core::dsim::SimZipperConfig& cfg,
+                   const PipelineSpec& pipeline, const ShardGroup& g);
+
+  std::string name() const override { return "Zipper"; }
   void spawn_services() override;
   sim::Task producer_step(int p, int step) override;
   sim::Task producer_block(int p, int step, int block, int num_blocks) override;
@@ -54,6 +77,8 @@ class PipelineCoupling : public Coupling {
   /// consumer, then waits for every deeper stage to finish, so the runner's
   /// end-to-end clock covers the full pipeline.
   sim::Task consumer_run(int c) override;
+  /// zipper_metrics() of edge 0; chains of two or more edges add
+  /// `pipeline_edges` and an e<i>_ breakdown per edge.
   std::map<std::string, double> metrics() const override;
 
   /// Test hook: fires for every analyzed block on every edge (in
@@ -63,16 +88,15 @@ class PipelineCoupling : public Coupling {
       on_edge_analyzed;
 
   int num_edges() const { return static_cast<int>(zips_.size()); }
-  const core::dsim::SimZipperStats& edge_stats(int e) const {
-    return zips_[static_cast<std::size_t>(e)]->stats();
-  }
-  const std::vector<int>& stage_ranks() const { return ranks_; }
-  /// World rank of stage i's first rank (stage bands are contiguous).
-  int stage_base_rank(int i) const {
-    return base_rank_[static_cast<std::size_t>(i)];
+  /// Edge e's runtime (counters, per-endpoint stats).
+  const core::dsim::SimZipper& edge(int e) const {
+    return *zips_[static_cast<std::size_t>(e)];
   }
 
  private:
+  /// Builds one SimZipper per edge on `kernel`, from ranks_ and base_rank_.
+  void build(sim::Simulation& kernel, const apps::WorkloadProfile& profile,
+             const core::dsim::SimZipperConfig& cfg);
   /// Stage-(e) rank p's forwarding loop on edge e >= 1: relay -> re-stamp ->
   /// downstream put; finalizes the downstream producer when the relay closes.
   sim::Task forward_main(std::size_t e, int p);
@@ -83,7 +107,7 @@ class PipelineCoupling : public Coupling {
   PipelineSpec pl_;
   bool chaos_ = false;
   std::vector<int> ranks_;      // per-stage rank counts (resolved)
-  std::vector<int> base_rank_;  // per-stage world-rank base
+  std::vector<int> base_rank_;  // per-stage world rank of the first rank
   std::vector<std::unique_ptr<core::dsim::SimZipper>> zips_;  // one per edge
   // relays_[e][p]: header handoff from edge e-1's consumer p to edge e's
   // producer p (same rank). Unbounded — backpressure is carried by the

@@ -8,7 +8,7 @@
 #include "sim/latch.hpp"
 #include "sim/sharded.hpp"
 #include "trace/recorder.hpp"
-#include "workflow/zipper_coupling.hpp"
+#include "workflow/pipeline_coupling.hpp"
 
 namespace zipper::workflow {
 
@@ -181,6 +181,7 @@ RunResult run_workflow(Cluster& cl, const apps::WorkloadProfile& prof,
 
 RunResult run_workflow_sharded(Cluster& cl, const apps::WorkloadProfile& prof,
                                const core::dsim::SimZipperConfig& base_cfg,
+                               const PipelineSpec& pipeline,
                                const ShardPlan& plan, ShardRunInfo* info) {
   const int S = plan.num_shards;
   const int P = cl.layout().producers;
@@ -190,35 +191,14 @@ RunResult run_workflow_sharded(Cluster& cl, const apps::WorkloadProfile& prof,
     throw std::logic_error("run_workflow_sharded: plan/cluster shard mismatch");
   }
 
-  // One slice SimZipper per group: local producer/consumer indices [0, Pg) /
-  // [0, Qg) map onto world ranks p0.. / consumer_rank(c0)... Hooks are
-  // re-based so observers see global indices; they fire on shard worker
+  // One one-edge chain slice per group; its hooks fire on shard worker
   // threads, so user-supplied hooks must be thread-safe.
-  std::vector<std::unique_ptr<ZipperCoupling>> slices;
+  std::vector<std::unique_ptr<PipelineCoupling>> slices;
   slices.reserve(static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s) {
-    const ShardGroup& g = plan.groups[static_cast<std::size_t>(s)];
-    core::dsim::SimZipperConfig cfg = base_cfg;
-    cfg.first_producer_rank = cl.producer_rank(g.p0);
-    if (base_cfg.on_analyzed) {
-      cfg.on_analyzed = [fn = base_cfg.on_analyzed, p0 = g.p0,
-                         c0 = g.c0](int c, const core::BlockHeader& h) {
-        core::BlockHeader gh = h;
-        gh.id.producer += p0;
-        fn(c0 + c, gh);
-      };
-    }
-    if (base_cfg.on_output) {
-      cfg.on_output = [fn = base_cfg.on_output, p0 = g.p0,
-                       c0 = g.c0](int c, const core::BlockHeader& h) {
-        core::BlockHeader gh = h;
-        gh.id.producer += p0;
-        fn(c0 + c, gh);
-      };
-    }
-    slices.push_back(std::make_unique<ZipperCoupling>(
-        cl, s, prof, std::move(cfg), g.p1 - g.p0, g.c1 - g.c0,
-        cl.consumer_rank(g.c0)));
+    slices.push_back(std::make_unique<PipelineCoupling>(
+        cl, s, prof, base_cfg, pipeline,
+        plan.groups[static_cast<std::size_t>(s)]));
   }
 
   for (auto& slice : slices) slice->spawn_services();
@@ -269,12 +249,9 @@ RunResult run_workflow_sharded(Cluster& cl, const apps::WorkloadProfile& prof,
 
   RunResult r = collect_result(cl, P, Q, producer_finish, consumer_finish);
   core::dsim::SimZipperStats total;
-  bool chaos = false;
-  for (auto& slice : slices) {
-    accumulate_stats(total, slice->stats());
-    chaos = chaos || slice->has_chaos();
-  }
-  r.metrics = zipper_metrics(total, chaos);
+  for (auto& slice : slices) accumulate_stats(total, slice->edge(0).stats());
+  r.metrics = zipper_metrics(
+      total, base_cfg.chaos != nullptr || static_cast<bool>(base_cfg.controller));
   return r;
 }
 

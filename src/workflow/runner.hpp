@@ -21,6 +21,7 @@
 #include "sim/time.hpp"
 #include "workflow/cluster.hpp"
 #include "workflow/coupling.hpp"
+#include "workflow/pipeline.hpp"
 
 namespace zipper::workflow {
 
@@ -78,16 +79,17 @@ struct ShardRunInfo {
   double wall_s = 0;           // wall-clock of the parallel run loop
 };
 
-/// Sharded Zipper workflow run: builds one slice SimZipper per shard group
-/// (hooks wrapped to report global producer/consumer indices — hooks run on
-/// shard worker threads, so user hooks must be thread-safe), spawns each
-/// rank's process on its shard's kernel, and free-runs all shards on
-/// plan.threads workers. Byte-identical to run_workflow of the same spec at
-/// any thread count. Requires plan.sharded() and a Cluster built with the
-/// plan's ShardMap.
+/// Sharded Zipper workflow run: builds one slice of the one-edge chain
+/// `pipeline` per shard group (PipelineCoupling's slice constructor; hooks
+/// report global producer/consumer indices but run on shard worker threads,
+/// so user hooks must be thread-safe), spawns each rank's process on its
+/// shard's kernel, and free-runs all shards on plan.threads workers.
+/// Byte-identical to run_workflow of the same spec at any thread count.
+/// Requires plan.sharded() and a Cluster built with the plan's ShardMap.
 RunResult run_workflow_sharded(Cluster& cluster,
                                const apps::WorkloadProfile& profile,
                                const core::dsim::SimZipperConfig& base_cfg,
+                               const PipelineSpec& pipeline,
                                const ShardPlan& plan,
                                ShardRunInfo* info = nullptr);
 

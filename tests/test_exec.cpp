@@ -38,7 +38,7 @@
 #include "exp/artifacts.hpp"
 #include "exp/scenario.hpp"
 #include "workflow/runner.hpp"
-#include "workflow/zipper_coupling.hpp"
+#include "workflow/pipeline_coupling.hpp"
 
 namespace fs = std::filesystem;
 using namespace zipper;
@@ -115,11 +115,11 @@ VtOutcome run_virtual(bool steal) {
   workflow::Cluster cluster(workflow::ClusterSpec::bridges(),
                             workflow::Layout{kP, kQ, 0});
   cluster.recorder.set_enabled(false);
-  workflow::ZipperCoupling coupling(cluster, prof, z);
+  workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
-  out.stats = coupling.stats();
-  for (int p = 0; p < kP; ++p) out.prod.push_back(coupling.producer_stats(p));
-  for (int c = 0; c < kQ; ++c) out.cons.push_back(coupling.consumer_stats(c));
+  out.stats = coupling.edge(0).stats();
+  for (int p = 0; p < kP; ++p) out.prod.push_back(coupling.edge(0).producer_stats(p));
+  for (int c = 0; c < kQ; ++c) out.cons.push_back(coupling.edge(0).consumer_stats(c));
   return out;
 }
 

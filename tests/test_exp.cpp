@@ -261,7 +261,7 @@ TEST(SweepEngine, ThrowingScenarioReportsCrashNotAbort) {
 }
 
 TEST(SweepEngine, PartialFailureKeepsOtherRowsAndCsvSchema) {
-  // One mid-sweep scenario throws (a non-trivial pipeline on a non-Zipper
+  // One mid-sweep scenario throws (a multi-stage pipeline on a non-Zipper
   // transport is rejected by run_scenario); the surviving rows still emit
   // full metrics and the CSV schema stays stable — same metric columns,
   // plus the `error` column exactly because a row carries an error.
@@ -432,20 +432,6 @@ TEST(Parsing, JobsRejectsTrailingJunkAndGarbage) {
   // (-4294967294 would otherwise come out as jobs=2).
   EXPECT_FALSE(parse_jobs("-4294967294", &jobs));
   EXPECT_FALSE(parse_jobs("4294967298", &jobs));
-}
-
-TEST(Parsing, FigureMainRejectsMalformedJobsFlag) {
-  // "-jfoo" used to atoi to 0 and silently clamp to 1; now it is a usage
-  // error (exit code 2) before any scenario runs.
-  char prog[] = "fig11_pipeline_model";
-  char bad_joined[] = "-jfoo";
-  char* argv1[] = {prog, bad_joined};
-  EXPECT_EQ(figure_main("fig11", 2, argv1), 2);
-
-  char jflag[] = "-j";
-  char bad_split[] = "2x";
-  char* argv2[] = {prog, jflag, bad_split};
-  EXPECT_EQ(figure_main("fig11", 3, argv2), 2);
 }
 
 // ---------------------------------------------------------------- analyze --

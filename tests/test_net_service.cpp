@@ -55,7 +55,7 @@
 #include "core/zipper/net_frame.hpp"
 #include "core/zipper/net_service.hpp"
 #include "workflow/runner.hpp"
-#include "workflow/zipper_coupling.hpp"
+#include "workflow/pipeline_coupling.hpp"
 
 // Every operator new on a thread bumps its counter, so a test can count the
 // allocations a piece of code makes.
@@ -154,7 +154,7 @@ VtOutcome run_virtual() {
   workflow::Cluster cluster(workflow::ClusterSpec::bridges(),
                             workflow::Layout{kP, kQ, 0});
   cluster.recorder.set_enabled(false);
-  workflow::ZipperCoupling coupling(cluster, prof, z);
+  workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
   return out;
 }
@@ -788,6 +788,34 @@ TEST(EpollExecutor, TimersFireInDeadlineOrder) {
   ex.spawn(sleeper(2, 3 * sim::kMillisecond));
   ex.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EpollExecutor, WakeEarlyEndsOneSleepAndItsTimerResumesNothing) {
+  exec::EpollExecutor ex;
+  std::vector<int> order;
+  sim::Task long_sleep = [](exec::EpollExecutor& x, std::vector<int>& o)
+      -> sim::Task {
+    co_await x.sleep_until(x.now() + 10 * sim::kSecond);
+    o.push_back(1);
+  }(ex, order);
+  const std::coroutine_handle<> h = long_sleep.handle();
+  ex.spawn(std::move(long_sleep));
+  auto short_sleep = [&]() -> sim::Task {
+    co_await ex.sleep_until(ex.now() + 2 * sim::kMillisecond);
+    order.push_back(2);
+  };
+  auto waker = [&]() -> sim::Task {
+    co_await ex.yield();  // both sleepers are parked by now
+    EXPECT_TRUE(ex.wake_early(h));
+    EXPECT_FALSE(ex.wake_early(h));  // no longer in a sleep
+  };
+  ex.spawn(short_sleep());
+  ex.spawn(waker());
+  const auto t0 = std::chrono::steady_clock::now();
+  ex.run();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  // Woken early it runs first; the other timer still fires at its deadline.
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(EpollExecutor, ChannelBackpressuresAndCloseWakes) {
@@ -1549,6 +1577,31 @@ TEST(NetService, StopWhileAConnectionSitsBetweenSessionsDrainsCleanly) {
   EXPECT_EQ(d.stats().sessions_ok, 1u);
   EXPECT_EQ(d.stats().sessions_failed, 0u)
       << "EOF between sessions was counted as a failed session";
+}
+
+TEST(NetService, StoppingTheControllerDoesNotWaitOutItsInterval) {
+  // The session ends its control loop as soon as its blocks are sent: the
+  // stop cuts the in-flight tick short instead of sleeping past it.
+  LiveDaemon d;
+  znet::ClientOptions co;
+  co.port = d.server.port();
+  co.spec = small_spec(0, "");
+  co.spec.steps = 1;
+  co.spill_root = fresh_dir("zipper_control_stop");
+  co.make_controller = [] {
+    return [](const core::chaos::ControlSnapshot&) {
+      return core::chaos::ControlAction{};
+    };
+  };
+  co.control_interval = sim::kSecond;
+  const auto t0 = std::chrono::steady_clock::now();
+  const znet::ClientResult res = znet::run_client_load(co);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  d.stop();
+  fs::remove_all(co.spill_root);
+  EXPECT_EQ(res.sessions_ok, 1u) << (res.errors.empty() ? "no error detail"
+                                                        : res.errors.front());
+  EXPECT_LT(took, std::chrono::milliseconds(500));
 }
 
 TEST(NetService, AdaptiveClientSessionsShareAConnection) {

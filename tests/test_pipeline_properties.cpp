@@ -9,11 +9,11 @@
 //     PipelineCoupling: every edge delivers exactly once, conserves blocks
 //     and bytes hop-to-hop, keeps per-(edge, producer, consumer) network
 //     FIFO order, and replays deterministically — across random edge
-//     methods, routes, spills, stealing, and preserve.
-//   * The lowering contract: a depth-1 all-default chain is trivial() and
-//     run_scenario routes it onto the exact legacy code path, so every
-//     registered figure's quick-mode CSV is byte-identical with and without
-//     it (the golden harness pins the same property in CI).
+//     methods, routes, spills, stealing, and preserve — one-edge chains,
+//     which every Zipper figure runs on, included.
+//   * The metric contract: a one-edge chain publishes exactly the Zipper
+//     key set, a longer chain adds the per-edge breakdown. (The golden
+//     digests, a ctest of their own, pin every figure's values.)
 #include <gtest/gtest.h>
 
 #include <map>
@@ -23,10 +23,7 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "exp/artifacts.hpp"
-#include "exp/engine.hpp"
 #include "exp/grid.hpp"
-#include "exp/registry.hpp"
 #include "workflow/pipeline.hpp"
 #include "workflow/pipeline_coupling.hpp"
 #include "workflow/runner.hpp"
@@ -56,14 +53,14 @@ TEST(PipelineSpecUnit, MakeChainShapesAndNames) {
   ASSERT_EQ(d1.stages.size(), 2u);
   EXPECT_EQ(d1.stages[0].name, "sim");
   EXPECT_EQ(d1.stages[1].name, "analyze");
-  EXPECT_TRUE(d1.enabled);
-  EXPECT_TRUE(d1.trivial());
+  EXPECT_EQ(d1.num_edges(), 1);
+  // The default spec is the same single hop.
+  EXPECT_EQ(PipelineSpec{}.summary(8, 4), d1.summary(8, 4));
 
   const auto d2 = make_chain(2);
   ASSERT_EQ(d2.stages.size(), 3u);
   EXPECT_EQ(d2.stages[1].name, "reduce");
   EXPECT_EQ(d2.stages[2].name, "analyze");
-  EXPECT_FALSE(d2.trivial());
 
   const auto d3 = make_chain(3);
   ASSERT_EQ(d3.stages.size(), 4u);
@@ -89,27 +86,8 @@ TEST(PipelineSpecUnit, MakeChainShapesAndNames) {
   EXPECT_NO_THROW(cx.validate());
 }
 
-TEST(PipelineSpecUnit, TrivialDetection) {
-  EXPECT_TRUE(PipelineSpec{}.trivial());  // disabled == legacy path
-  EXPECT_TRUE(make_chain(1).trivial());
-  EXPECT_TRUE(make_chain(1, 4, 8.0).trivial());  // fan/compress never touch d1
-  EXPECT_FALSE(make_chain(2).trivial());
-
-  auto staged = make_chain(1);
-  staged.edges[0].method = EdgeMethod::kStaged;
-  EXPECT_FALSE(staged.trivial());
-
-  auto pinned = make_chain(1);
-  pinned.stages[1].ranks = 3;
-  EXPECT_FALSE(pinned.trivial());
-
-  auto weighted = make_chain(1);
-  weighted.stages[1].work_factor = 2.0;
-  EXPECT_FALSE(weighted.trivial());
-}
-
 TEST(PipelineSpecUnit, ValidateRejectsInconsistentGraphs) {
-  EXPECT_NO_THROW(PipelineSpec{}.validate());  // disabled: no-op
+  EXPECT_NO_THROW(PipelineSpec{}.validate());  // the default single hop
 
   auto one_stage = make_chain(1);
   one_stage.stages.pop_back();
@@ -165,20 +143,17 @@ TEST(PipelineSpecUnit, SweepGridPipelineAxes) {
   EXPECT_EQ(grid.size(), 4u);
   const auto specs = grid.expand();
   ASSERT_EQ(specs.size(), 4u);
-  for (const auto& s : specs) {
-    EXPECT_TRUE(s.pipeline.enabled);
-    EXPECT_NO_THROW(s.pipeline.validate());
-  }
+  for (const auto& s : specs) EXPECT_NO_THROW(s.pipeline.validate());
   EXPECT_NE(specs[0].label.find("/stages1/fan1"), std::string::npos);
   EXPECT_NE(specs[3].label.find("/stages2/fan2"), std::string::npos);
-  EXPECT_TRUE(specs[0].pipeline.trivial());   // --stages 1 is the legacy path
-  EXPECT_FALSE(specs[3].pipeline.trivial());
+  EXPECT_EQ(specs[0].pipeline.num_edges(), 1);  // --stages 1: the single hop
+  EXPECT_EQ(specs[3].pipeline.num_edges(), 2);
   EXPECT_EQ(specs[3].pipeline.fan, 2);
 
-  // No pipeline axes: the base spec's (disabled) pipeline rides through.
+  // No pipeline axes: the base spec's single hop rides through.
   exp::SweepGrid none;
   none.steps = {2, 4};
-  for (const auto& s : none.expand()) EXPECT_FALSE(s.pipeline.enabled);
+  for (const auto& s : none.expand()) EXPECT_EQ(s.pipeline.num_edges(), 1);
 }
 
 // ------------------------------------- randomized pipeline-graph runs ----
@@ -211,16 +186,21 @@ struct PipeOutcome {
 };
 
 /// Builds a random (but seed-deterministic) pipeline graph + schedule
-/// configuration and runs it end-to-end through PipelineCoupling.
+/// configuration and runs it end-to-end through PipelineCoupling. Depth 1 is
+/// the paper's single hop, which every Zipper figure runs on.
 PipeOutcome run_random_pipeline(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   const auto pick = [&rng](int lo, int hi) {
     return lo + static_cast<int>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
   };
 
-  auto pl = make_chain(/*depth=*/pick(2, 3), /*fan=*/pick(1, 2),
-                       /*compress=*/static_cast<double>(pick(1, 2)),
-                       /*staging=*/pick(0, 1) == 1);
+  // One draw per statement: argument evaluation order is unspecified, and
+  // the graph a seed draws must not depend on the compiler.
+  const int depth = pick(1, 3);
+  const int fan = pick(1, 2);
+  const double compress = pick(1, 2);
+  const bool staging = pick(0, 1) == 1;
+  auto pl = make_chain(depth, fan, compress, staging);
   const EdgeMethod methods[] = {EdgeMethod::kZip, EdgeMethod::kStaged,
                                 EdgeMethod::kPfs};
   for (std::size_t e = 1; e < pl.edges.size(); ++e) {
@@ -266,7 +246,7 @@ PipeOutcome run_random_pipeline(std::uint64_t seed) {
   };
   out.end_to_end_s = workflow::run_workflow(cluster, prof, &coupling).end_to_end_s;
   for (int e = 0; e < coupling.num_edges(); ++e) {
-    out.stats.push_back(coupling.edge_stats(e));
+    out.stats.push_back(coupling.edge(e).stats());
   }
   return out;
 }
@@ -279,13 +259,24 @@ std::uint64_t forwarded_bytes(std::uint64_t bytes, double compression) {
 
 }  // namespace
 
+// Seeds 1-12 draw four chains of each depth 1, 2 and 3.
+constexpr std::uint64_t kGraphSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+
 class PipelineGraphs : public ::testing::TestWithParam<std::uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(SeededGraphs, PipelineGraphs,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
+                         ::testing::ValuesIn(kGraphSeeds),
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+TEST(PipelineGraphSeeds, CoverEveryDepth) {
+  std::set<int> depths;
+  for (std::uint64_t seed : kGraphSeeds) {
+    depths.insert(run_random_pipeline(seed).spec.num_edges());
+  }
+  EXPECT_EQ(depths, (std::set<int>{1, 2, 3}));
+}
 
 TEST_P(PipelineGraphs, EveryEdgeDeliversExactlyOnce) {
   const auto out = run_random_pipeline(GetParam());
@@ -379,27 +370,60 @@ TEST_P(PipelineGraphs, DeterministicReplay) {
   }
 }
 
-// ------------------------------------------------- the lowering contract ----
+// ------------------------------------------------------ the metric contract --
 
-TEST(PipelineDifferential, TrivialChainIsByteIdenticalAcrossAllFigures) {
-  // A depth-1 all-default chain must lower onto the exact legacy code path:
-  // for every registered figure, quick-mode results are byte-identical with
-  // and without it. Scenarios that already carry a real pipeline (the hybrid
-  // figures) are excluded — overwriting their graph would change the
-  // experiment, not test the lowering.
-  for (const auto& fig : exp::registry()) {
-    std::vector<exp::ScenarioSpec> specs;
-    for (auto& s : fig.scenarios(false)) {
-      if (!s.pipeline.enabled) specs.push_back(std::move(s));
+namespace {
+
+/// metrics() of a finished depth-`depth` chain on 4 producers x 2 consumers.
+std::map<std::string, double> chain_metrics(int depth, bool controller) {
+  const auto prof = pipeline_profile();
+  core::dsim::SimZipperConfig z;
+  z.block_bytes = 512 * KiB;
+  if (controller) {
+    z.controller = [](const core::chaos::ControlSnapshot&) {
+      return core::chaos::ControlAction{};
+    };
+  }
+  const auto pl = make_chain(depth);
+  const auto r = pl.resolved_ranks(4, 2);
+  workflow::Cluster cluster(workflow::ClusterSpec::bridges(),
+                            workflow::Layout{4, r[1], depth > 1 ? r[2] : 0});
+  cluster.recorder.set_enabled(false);
+  workflow::PipelineCoupling coupling(cluster, prof, z, pl);
+  workflow::run_workflow(cluster, prof, &coupling);
+  if (depth == 1) {
+    // The whole map is zipper_metrics() of the one edge.
+    EXPECT_EQ(coupling.metrics(),
+              workflow::zipper_metrics(coupling.edge(0).stats(), controller));
+  }
+  return coupling.metrics();
+}
+
+}  // namespace
+
+TEST(PipelineMetrics, OneEdgeChainPublishesTheZipperKeysOnly) {
+  const std::vector<std::string> zipper_keys = {
+      "analysis_busy_s", "blocks_stolen",  "blocks_total",    "bytes_via_network",
+      "bytes_via_pfs",   "consumer_steals", "sender_busy_s",  "stall_s",
+      "steal_fraction",  "store_busy_s",   "writer_busy_s"};
+  const std::vector<std::string> resilience = {
+      "blocks_spilled_slow", "control_actions", "put_retries"};
+  for (bool controller : {false, true}) {
+    const auto one = chain_metrics(1, controller);
+    const auto two = chain_metrics(2, controller);
+    EXPECT_EQ(one.size(), zipper_keys.size() + (controller ? 3 : 0));
+    for (const auto& k : zipper_keys) {
+      EXPECT_TRUE(one.count(k) && two.count(k)) << k;
     }
-    if (specs.empty()) continue;
-    auto lowered = specs;
-    for (auto& s : lowered) s.pipeline = make_chain(1);
-
-    exp::SweepOptions so;
-    const auto a = exp::run_sweep(specs, so);
-    const auto b = exp::run_sweep(lowered, so);
-    EXPECT_EQ(exp::to_csv(a), exp::to_csv(b)) << fig.name;
-    EXPECT_EQ(exp::to_json(a), exp::to_json(b)) << fig.name;
+    // Resilience counters: top level on one edge; on longer chains only
+    // under the chaos edge's e<i>_ prefix.
+    for (const auto& k : resilience) {
+      EXPECT_EQ(one.count(k), controller ? 1u : 0u) << k;
+      EXPECT_EQ(two.count(k), 0u) << k;
+      EXPECT_EQ(two.count("e0_" + k), controller ? 1u : 0u) << k;
+    }
+    EXPECT_EQ(one.count("pipeline_edges"), 0u);
+    EXPECT_EQ(two.at("pipeline_edges"), 2.0);
+    EXPECT_EQ(two.at("e1_blocks_analyzed"), two.at("e1_blocks_total"));
   }
 }

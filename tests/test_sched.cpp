@@ -19,7 +19,7 @@
 #include "exp/engine.hpp"
 #include "exp/grid.hpp"
 #include "workflow/runner.hpp"
-#include "workflow/zipper_coupling.hpp"
+#include "workflow/pipeline_coupling.hpp"
 
 using namespace zipper;
 using namespace zipper::core;
@@ -285,9 +285,9 @@ ComboOutcome run_combo(const ComboCase& sc) {
   workflow::Layout layout{5, 3, 0};  // contiguous shares {2, 2, 1}: imbalanced
   workflow::Cluster cluster(workflow::ClusterSpec::bridges(), layout);
   cluster.recorder.set_enabled(false);
-  workflow::ZipperCoupling coupling(cluster, prof, z);
+  workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   out.result = workflow::run_workflow(cluster, prof, &coupling);
-  out.stats = coupling.stats();
+  out.stats = coupling.edge(0).stats();
   return out;
 }
 
@@ -361,7 +361,7 @@ TEST_P(SchedCombos, PreserveModePersistsEveryByte) {
   workflow::Layout layout{5, 3, 0};
   workflow::Cluster cluster(workflow::ClusterSpec::bridges(), layout);
   cluster.recorder.set_enabled(false);
-  workflow::ZipperCoupling coupling(cluster, prof, z);
+  workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
   const std::uint64_t total_bytes = 5ull * prof.steps * prof.bytes_per_rank_per_step;
   EXPECT_GE(cluster.fs->total_bytes_written(), total_bytes);

@@ -13,7 +13,7 @@
 #include "transports/decaf.hpp"
 #include "transports/factory.hpp"
 #include "workflow/runner.hpp"
-#include "workflow/zipper_coupling.hpp"
+#include "workflow/pipeline_coupling.hpp"
 
 using namespace zipper;
 using common::MiB;
@@ -90,9 +90,9 @@ TEST(Workflow, ZipperDeliversAndAnalyzesEveryBlock) {
   const auto prof = small_profile();
   Layout layout{8, 4, 0};
   Cluster cluster(ClusterSpec::bridges(), layout);
-  workflow::ZipperCoupling coupling(cluster, prof, fast_zipper());
+  workflow::PipelineCoupling coupling(cluster, prof, fast_zipper(), workflow::make_chain(1));
   const auto r = workflow::run_workflow(cluster, prof, &coupling);
-  const auto& s = coupling.stats();
+  const auto& s = coupling.edge(0).stats();
   // 8 producers x 10 steps x 4 blocks/step.
   EXPECT_EQ(s.blocks_total, 8u * 10u * 4u);
   EXPECT_EQ(s.blocks_analyzed, s.blocks_total);
@@ -133,9 +133,9 @@ TEST(Workflow, StallAppearsWhenTransferSlowAndStealOff) {
   zcfg.producer_buffer_blocks = 4;
   Layout layout{8, 4, 0};
   Cluster cluster(ClusterSpec::bridges(), layout);
-  workflow::ZipperCoupling coupling(cluster, prof, zcfg);
+  workflow::PipelineCoupling coupling(cluster, prof, zcfg, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_GT(sim::to_seconds(coupling.stats().producer_stall), 0.5)
+  EXPECT_GT(sim::to_seconds(coupling.edge(0).stats().producer_stall), 0.5)
       << "producer should stall when the buffer keeps filling";
 }
 
@@ -151,16 +151,16 @@ TEST(Workflow, WorkStealingReducesStallAndUsesBothChannels) {
   Layout layout{8, 4, 0};
 
   Cluster c1(ClusterSpec::bridges(), layout);
-  workflow::ZipperCoupling k1(c1, prof, no_steal);
+  workflow::PipelineCoupling k1(c1, prof, no_steal, workflow::make_chain(1));
   const auto r1 = workflow::run_workflow(c1, prof, &k1);
 
   Cluster c2(ClusterSpec::bridges(), layout);
-  workflow::ZipperCoupling k2(c2, prof, base);
+  workflow::PipelineCoupling k2(c2, prof, base, workflow::make_chain(1));
   const auto r2 = workflow::run_workflow(c2, prof, &k2);
 
-  EXPECT_GT(k2.stats().blocks_stolen, 0u);
-  EXPECT_LT(sim::to_seconds(k2.stats().producer_stall),
-            sim::to_seconds(k1.stats().producer_stall))
+  EXPECT_GT(k2.edge(0).stats().blocks_stolen, 0u);
+  EXPECT_LT(sim::to_seconds(k2.edge(0).stats().producer_stall),
+            sim::to_seconds(k1.edge(0).stats().producer_stall))
       << "stealing must reduce producer stall";
   EXPECT_LE(r2.producers_done_s, r1.producers_done_s * 1.01)
       << "stealing must not slow the producers down";
@@ -174,10 +174,10 @@ TEST(Workflow, StealNeverActivatesWhenComputeBound) {
   auto zcfg = fast_zipper();
   Layout layout{4, 2, 0};
   Cluster cluster(ClusterSpec::bridges(), layout);
-  workflow::ZipperCoupling coupling(cluster, prof, zcfg);
+  workflow::PipelineCoupling coupling(cluster, prof, zcfg, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_EQ(coupling.stats().blocks_stolen, 0u);
-  EXPECT_EQ(coupling.stats().bytes_via_pfs, 0u);
+  EXPECT_EQ(coupling.edge(0).stats().blocks_stolen, 0u);
+  EXPECT_EQ(coupling.edge(0).stats().bytes_via_pfs, 0u);
 }
 
 TEST(Workflow, PreserveModeStoresAllBytes) {
@@ -186,7 +186,7 @@ TEST(Workflow, PreserveModeStoresAllBytes) {
   zcfg.preserve = true;
   Layout layout{4, 2, 0};
   Cluster cluster(ClusterSpec::bridges(), layout);
-  workflow::ZipperCoupling coupling(cluster, prof, zcfg);
+  workflow::PipelineCoupling coupling(cluster, prof, zcfg, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
   const std::uint64_t total = 4ull * prof.steps * prof.bytes_per_rank_per_step;
   EXPECT_GE(cluster.fs->total_bytes_written(), total)
@@ -322,11 +322,11 @@ TEST(Workflow, XmitWaitGrowsWithInjectionPressure) {
   Layout layout{8, 4, 0};
 
   Cluster c1(ClusterSpec::bridges(), layout);
-  workflow::ZipperCoupling k1(c1, fast, zcfg);
+  workflow::PipelineCoupling k1(c1, fast, zcfg, workflow::make_chain(1));
   workflow::run_workflow(c1, fast, &k1);
 
   Cluster c2(ClusterSpec::bridges(), layout);
-  workflow::ZipperCoupling k2(c2, slow, zcfg);
+  workflow::PipelineCoupling k2(c2, slow, zcfg, workflow::make_chain(1));
   workflow::run_workflow(c2, slow, &k2);
 
   EXPECT_GT(c1.producer_xmit_wait(), 10 * std::max<std::uint64_t>(1, c2.producer_xmit_wait()))

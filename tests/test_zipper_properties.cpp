@@ -10,7 +10,7 @@
 #include "apps/profiles.hpp"
 #include "common/units.hpp"
 #include "workflow/runner.hpp"
-#include "workflow/zipper_coupling.hpp"
+#include "workflow/pipeline_coupling.hpp"
 
 using namespace zipper;
 using common::KiB;
@@ -58,10 +58,10 @@ RunOutcome run_case(const SweepCase& sc) {
   Layout layout{sc.producers, sc.consumers, 0};
   Cluster cluster(ClusterSpec::bridges(), layout);
   cluster.recorder.set_enabled(false);
-  workflow::ZipperCoupling coupling(cluster, prof, z);
+  workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   RunOutcome out;
   out.result = workflow::run_workflow(cluster, prof, &coupling);
-  out.stats = coupling.stats();
+  out.stats = coupling.edge(0).stats();
   out.pfs_bytes_written = cluster.fs->total_bytes_written();
   return out;
 }
@@ -197,9 +197,9 @@ TEST(ZipperFault, CrawlingConsumerDoesNotDeadlockProducers) {
   Layout layout{4, 2, 0};
   Cluster cluster(ClusterSpec::bridges(), layout);
   cluster.recorder.set_enabled(false);
-  workflow::ZipperCoupling coupling(cluster, prof, z);
+  workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   const auto r = workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_EQ(coupling.stats().blocks_analyzed, coupling.stats().blocks_total);
+  EXPECT_EQ(coupling.edge(0).stats().blocks_analyzed, coupling.edge(0).stats().blocks_total);
   // Producers finish long before the crawling analysis drains.
   EXPECT_LT(r.producers_done_s, r.end_to_end_s);
 }
@@ -218,9 +218,9 @@ TEST(ZipperFault, GlacialPfsStillCompletesWithStealOn) {
   Layout layout{4, 2, 0};
   Cluster cluster(spec, layout);
   cluster.recorder.set_enabled(false);
-  workflow::ZipperCoupling coupling(cluster, prof, z);
+  workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   const auto r = workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_EQ(coupling.stats().blocks_analyzed, coupling.stats().blocks_total);
+  EXPECT_EQ(coupling.edge(0).stats().blocks_analyzed, coupling.edge(0).stats().blocks_total);
   EXPECT_GT(r.end_to_end_s, 0.0);
 }
 
@@ -231,7 +231,7 @@ TEST(ZipperFault, SingleConsumerManyProducers) {
   Layout layout{16, 1, 0};
   Cluster cluster(ClusterSpec::bridges(), layout);
   cluster.recorder.set_enabled(false);
-  workflow::ZipperCoupling coupling(cluster, prof, z);
+  workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_EQ(coupling.stats().blocks_analyzed, coupling.stats().blocks_total);
+  EXPECT_EQ(coupling.edge(0).stats().blocks_analyzed, coupling.edge(0).stats().blocks_total);
 }

@@ -11,8 +11,11 @@ byte-stable. This script pins that contract with checked-in SHA-256 digests:
     # CI: re-run every figure and fail on any drift
     python3 tools/check_golden.py check --lab build/zipper_lab
 
+    # the same digests from the sharded parallel DES (fig14/fig15 shard)
+    python3 tools/check_golden.py check fig14 fig15 --sim-threads 4
+
 An unintentional digest change means a scenario's observable behaviour moved
-— a scheduling change, a metric rename, a pipeline-lowering regression —
+— a scheduling change, a metric rename, a coupling regression —
 and must be either fixed or acknowledged by regenerating the manifest in
 the same commit that explains why.
 
@@ -36,10 +39,12 @@ def registered_figures(lab):
     return [line.strip() for line in out.splitlines() if line.strip()]
 
 
-def run_figures(lab, figures, artifacts_dir, jobs):
+def run_figures(lab, figures, artifacts_dir, jobs, sim_threads):
     cmd = [lab, "run", *figures, f"--artifacts-dir={artifacts_dir}"]
     if jobs > 1:
         cmd += ["-j", str(jobs)]
+    if sim_threads > 1:
+        cmd += ["--sim-threads", str(sim_threads)]
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
 
 
@@ -65,13 +70,13 @@ def digest(fig, artifacts_dir):
     return h.hexdigest()
 
 
-def collect(lab, figures, jobs):
+def collect(lab, figures, jobs, sim_threads):
     digests = {}
     for fig in figures:
         # One directory per figure: a figure whose name prefixes another's
         # (fig01 / fig01b) must not fold the other's artifacts into its hash.
         with tempfile.TemporaryDirectory(prefix="golden_") as tmp:
-            run_figures(lab, [fig], tmp, jobs)
+            run_figures(lab, [fig], tmp, jobs, sim_threads)
             digests[fig] = digest(fig, tmp)
     return digests
 
@@ -97,10 +102,13 @@ def main():
                     help="path to the zipper_lab binary")
     ap.add_argument("--manifest", default=DEFAULT_MANIFEST)
     ap.add_argument("-j", "--jobs", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--sim-threads", type=int, default=1,
+                    help="passed to `zipper_lab run`; sharding must not "
+                         "change a digest")
     args = ap.parse_args()
 
     figures = args.figures or registered_figures(args.lab)
-    digests = collect(args.lab, figures, args.jobs)
+    digests = collect(args.lab, figures, args.jobs, args.sim_threads)
 
     if args.mode == "generate":
         with open(args.manifest, "w", encoding="utf-8") as f:

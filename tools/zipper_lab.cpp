@@ -48,7 +48,7 @@
 //   --burst=0.7,0.7@2      (chaos: bursty PFS interference <intensity>[@<period_s>])
 //   --drift=3,3@6          (chaos: compute phases drift <factor>[@<period_steps>])
 //   --adapt=0,1            (attach the online adaptive controller)
-//   --stages=1,2,3         (pipeline chain depth; 1 = legacy single coupling)
+//   --stages=1,2,3         (pipeline chain depth; 1 = the single hop)
 //   --fan=1,2,4            (pipeline fan-in divisor per derived stage)
 //   --compress=1,2,8       (pipeline per-edge compression, edges >= 1)
 //   --staging=0,1          (pipeline interior stages: staging nodes vs colocated)
@@ -149,7 +149,7 @@ constexpr const char* kSweepAxisHelp[] = {
     "--burst=0.7,0.7@2           chaos: bursty PFS interference <intensity>[@<period_s>]",
     "--drift=3,3@6               chaos: compute drift <factor>[@<period_steps>]",
     "--adapt=0,1                 attach the online adaptive controller",
-    "--stages=1,2,3              pipeline chain depth (1 = legacy coupling)",
+    "--stages=1,2,3              pipeline chain depth (1 = the single hop)",
     "--fan=1,2,4                 pipeline fan-in divisor per derived stage",
     "--compress=1,2,8            pipeline per-edge compression (edges >= 1)",
     "--staging=0,1               pipeline interior stages: staging nodes (1) or colocated (0)",
@@ -662,7 +662,7 @@ int parse_one_sweep_flag(int argc, char** argv, int* i, SweepCli* cli) {
         if (d < 1) {
           std::fprintf(stderr,
                        "invalid --stages value '%s' (chain depth >= 1; 1 is "
-                       "the legacy single coupling)\n",
+                       "the single hop)\n",
                        tok.c_str());
           return 2;
         }
