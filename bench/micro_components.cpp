@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "apps/analysis/moments.hpp"
@@ -19,7 +20,7 @@
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "core/exec/epoll.hpp"
-#include "core/exec/threaded.hpp"
+#include "core/exec/mt_sync.hpp"
 #include "core/exec/virtual_time.hpp"
 #include "core/zipper/net_frame.hpp"
 #include "net/fabric.hpp"
@@ -205,43 +206,6 @@ static void BM_ExecChannelPingPongVirtual(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecChannelPingPongVirtual)->Name("BM_ExecChannelPingPong/virtual");
 
-static void BM_ExecChannelPingPongThreaded(benchmark::State& state) {
-  constexpr int kPairs = 2;  // each coroutine occupies one worker thread
-  constexpr int kRounds = 512;
-  using core::exec::ThreadPoolExecutor;
-  using core::exec::TpChannel;
-  struct Duo {
-    TpChannel<int> ping, pong;
-    explicit Duo(ThreadPoolExecutor& e) : ping(e, 1), pong(e, 1) {}
-  };
-  for (auto _ : state) {
-    ThreadPoolExecutor ex;
-    std::vector<std::unique_ptr<Duo>> duos;
-    for (int i = 0; i < kPairs; ++i) duos.push_back(std::make_unique<Duo>(ex));
-    for (int i = 0; i < kPairs; ++i) {
-      Duo& d = *duos[static_cast<std::size_t>(i)];
-      ex.spawn([](Duo& du) -> sim::Task {  // client
-        for (int k = 0; k < kRounds; ++k) {
-          co_await du.ping.send(k);
-          co_await du.pong.recv();
-        }
-      }(d));
-      ex.spawn([](Duo& du) -> sim::Task {  // server
-        for (int k = 0; k < kRounds; ++k) {
-          co_await du.ping.recv();
-          co_await du.pong.send(k);
-        }
-      }(d));
-    }
-    ex.shutdown();  // workers drain the queue and finish every round trip
-  }
-  state.SetItemsProcessed(state.iterations() * kPairs * kRounds);
-}
-// UseRealTime: the round trips happen on pool workers, not the bench thread.
-BENCHMARK(BM_ExecChannelPingPongThreaded)
-    ->Name("BM_ExecChannelPingPong/threaded")
-    ->UseRealTime();
-
 // The same shape once more on the EpollExecutor (core/exec/epoll), the
 // real-I/O loop behind zipperd. EpChannel transfers are pure scheduler
 // handoffs -- no fd is touched -- so this prices the epoll loop's ready-ring
@@ -282,6 +246,44 @@ static void BM_EpollChannelPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPairs * kRounds);
 }
 BENCHMARK(BM_EpollChannelPingPong);
+
+// The application<->loop handoff of the embedded rt::Runtime: the bench
+// thread, inside run_inline() as ProducerEndpoint::write and
+// ConsumerEndpoint::read are, plays request/reply against a coroutine on an
+// EpollExecutor loop thread over two one-slot MtChannels. Every transfer finds
+// its peer parked, so each round trip is one post() to the loop (an eventfd
+// write when the loop sleeps) and one futex wake of the application thread:
+// the cross-thread cost rt_inproc's per-block time breaks down into.
+static void BM_EpollChannelPingPongCrossThread(benchmark::State& state) {
+  constexpr int kRounds = 4096;
+  using core::exec::EpollExecutor;
+  using core::exec::MtChannel;
+  for (auto _ : state) {
+    EpollExecutor ex;
+    ex.enable_post();
+    MtChannel<int> ping(ex, 1), pong(ex, 1);
+    ex.spawn([](MtChannel<int>& in, MtChannel<int>& out) -> sim::Task {
+      for (int k = 0; k < kRounds; ++k) {
+        const auto v = co_await in.recv();
+        co_await out.send(*v);
+      }
+    }(ping, pong));
+    std::thread loop([&ex] { ex.run(); });
+    core::exec::run_inline(
+        [](MtChannel<int>& out, MtChannel<int>& in) -> sim::Task {
+          for (int k = 0; k < kRounds; ++k) {
+            co_await out.send(k);
+            benchmark::DoNotOptimize(co_await in.recv());
+          }
+        }(ping, pong));
+    loop.join();
+  }
+  state.SetItemsProcessed(state.iterations() * kRounds);
+}
+// UseRealTime: half of every round trip runs on the loop thread.
+BENCHMARK(BM_EpollChannelPingPongCrossThread)
+    ->Name("BM_EpollChannelPingPong/cross_thread")
+    ->UseRealTime();
 
 // Bounded-channel backpressure: senders park on a full buffer and are promoted
 // one slot at a time — stresses the sender waiter list and buffer slots.

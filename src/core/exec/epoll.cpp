@@ -1,6 +1,7 @@
 #include "core/exec/epoll.hpp"
 
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
 
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <utility>
 
 namespace zipper::core::exec {
 
@@ -49,6 +51,7 @@ EpollExecutor::~EpollExecutor() {
   // destruction recursively frees nested child frames via their awaiters.
   for (auto h : roots_) h.destroy();
   roots_.clear();
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (timerfd_ >= 0) ::close(timerfd_);
   if (epfd_ >= 0) ::close(epfd_);
 }
@@ -58,6 +61,48 @@ void EpollExecutor::spawn(sim::Task t) {
   if (!h) return;
   roots_.push_back(h);
   schedule(h);
+}
+
+void EpollExecutor::enable_post() {
+  if (wake_fd_ >= 0) return;
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) throw_errno("eventfd");
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
+    throw_errno("epoll_ctl(wake eventfd)");
+  }
+}
+
+void EpollExecutor::post(std::coroutine_handle<> h) {
+  if (in_loop()) {
+    schedule(h);
+    return;
+  }
+  assert(wake_fd_ >= 0 && "post() from another thread needs enable_post()");
+  {
+    std::lock_guard lk(post_m_);
+    posted_queue_.push_back(h);
+  }
+  posted_.store(true);
+  if (parked_.load() && !wake_sent_.exchange(true)) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] ssize_t r = ::write(wake_fd_, &one, sizeof(one));
+  }
+}
+
+void EpollExecutor::take_posted() {
+  if (!posted_.load(std::memory_order_relaxed)) return;
+  // Cleared before the swap: a post that lands after it raises the flag
+  // again, so nothing is left behind unflagged.
+  posted_.store(false);
+  {
+    std::lock_guard lk(post_m_);
+    posted_taken_.swap(posted_queue_);
+  }
+  for (std::coroutine_handle<> h : posted_taken_) schedule(h);
+  posted_taken_.clear();
 }
 
 void EpollExecutor::arm_io(IoAwaiter* aw, std::coroutine_handle<> h) {
@@ -227,7 +272,13 @@ void EpollExecutor::run() {
   constexpr int kMaxEvents = 128;
   epoll_event evs[kMaxEvents];
   std::size_t unswept = 0;  // resumes since the last sweep
+  const EpollExecutor* outer = std::exchange(running_, this);
+  struct Restore {
+    const EpollExecutor* outer;
+    ~Restore() { running_ = outer; }
+  } restore{outer};
   while (true) {
+    if (wake_fd_ >= 0) take_posted();
     unswept += drain_ready();
     // A sweep walks every root. Before the loop blocks it always runs; while
     // ready work remains it runs once per as many resumes as there are roots,
@@ -241,20 +292,31 @@ void EpollExecutor::run() {
 
     // Poll epoll without blocking while ready work remains; otherwise park
     // until an fd or the nearest timer fires.
-    const bool more = !ready_.empty();
-    if (!more && timers_.empty() && fd_waiters_ == 0) {
+    bool more = !ready_.empty();
+    if (!more && timers_.empty() && fd_waiters_ == 0 && wake_fd_ < 0) {
       throw std::runtime_error(
           "EpollExecutor: deadlock — " + std::to_string(roots_.size()) +
           " root coroutine(s) parked with no timer or fd to wake them");
     }
     arm_timer();
 
+    if (!more && wake_fd_ >= 0) {
+      parked_.store(true);
+      more = posted_.load();  // a post raced the decision to block
+    }
     int n = ::epoll_wait(epfd_, evs, kMaxEvents, more ? 0 : -1);
+    if (wake_fd_ >= 0) parked_.store(false, std::memory_order_relaxed);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("epoll_wait");
     }
     for (int i = 0; i < n; ++i) {
+      if (evs[i].data.fd == wake_fd_) {
+        std::uint64_t count = 0;
+        [[maybe_unused]] ssize_t r = ::read(wake_fd_, &count, sizeof(count));
+        wake_sent_.store(false);
+        continue;
+      }
       if (evs[i].data.fd == timerfd_) {
         std::uint64_t ticks = 0;
         [[maybe_unused]] ssize_t r =

@@ -1,11 +1,11 @@
 // EpollExecutor: the unified-execution adapter over a real event loop.
 //
-// The third executor style (docs/runtime.md): a single-threaded epoll loop
-// whose awaitables *genuinely suspend* — like the virtual-time executor and
-// unlike the ThreadPoolExecutor's RunInCoro blocking idiom. A coroutine that
-// would block parks its handle on a waitlist (fd readiness, timer heap, or a
-// primitive's queue) and the loop resumes it when the event fires, so one OS
-// thread multiplexes thousands of concurrent coupling sessions.
+// Both real-time executor styles run here (docs/runtime.md): a single-threaded
+// epoll loop whose awaitables *genuinely suspend*, like the virtual-time
+// executor's. A coroutine that would block parks its handle on a waitlist (fd
+// readiness, timer heap, or a primitive's queue) and the loop resumes it when
+// the event fires, so one OS thread multiplexes thousands of concurrent
+// coupling sessions (zipperd) or every service of an embedded rt::Runtime.
 //
 // Contract surface (core/exec):
 //   spawn(Task)        — detach a root coroutine; the executor owns its frame
@@ -43,15 +43,22 @@
 // thousands of sessions ready, epoll is polled once per round of them, not
 // every 61 resumes (docs/service.md, "Measurement", has the numbers).
 //
-// Threading: the loop, every primitive, and every spawned coroutine run on
-// the thread that calls run(). Nothing here is thread-safe; cross-thread
-// wake-ups go through an eventfd watched with wait_readable() (a write() is
-// async-signal-safe, which is also how SIGTERM reaches the zipperd loop).
+// Threading: the loop, the Ep* primitives, and every spawned coroutine run on
+// the thread that calls run(); none of that is thread-safe. The one
+// thread-safe entry is post(h), opened by enable_post(): a remote queue that
+// the loop drains once per pass, plus an eventfd that a poster writes only
+// when the loop is parked in epoll_wait or about to park. A loop that never
+// enabled posting (zipperd) pays neither a lock nor a syscall for it. The
+// thread-safe primitives built on post() live in mt_sync.hpp. Other wake-ups
+// from outside (SIGTERM reaching the zipperd loop) go through an eventfd
+// watched with wait_readable(), since a write() is async-signal-safe.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -85,14 +92,38 @@ class EpollExecutor {
   /// must be called from the loop thread.
   void schedule(std::coroutine_handle<> h) { ready_.push_back(h); }
 
+  /// Lets other threads hand coroutines to this loop through post(): creates
+  /// the wake eventfd, and turns off run()'s check for roots parked with
+  /// nothing to wake them, since a post may still come. Call before run().
+  void enable_post();
+
+  /// Thread-safe: resumes `h` on the loop, within the pass after the one
+  /// that is running. From the loop thread itself this is schedule(h); from
+  /// any other thread it needs enable_post().
+  void post(std::coroutine_handle<> h);
+
+  /// True on the thread inside this executor's run().
+  bool in_loop() const noexcept { return running_ == this; }
+
   struct SleepAwaiter {
     EpollExecutor* ex;
     sim::Time deadline;
+    std::coroutine_handle<>* parked;  // if set, holds the sleeper's handle
     bool await_ready() const noexcept { return deadline <= ex->now(); }
-    void await_suspend(std::coroutine_handle<> h) { ex->push_timer(deadline, h); }
-    void await_resume() const noexcept {}
+    void await_suspend(std::coroutine_handle<> h) {
+      if (parked) *parked = h;
+      ex->push_timer(deadline, h);
+    }
+    void await_resume() const noexcept {
+      if (parked) *parked = {};
+    }
   };
-  SleepAwaiter sleep_until(sim::Time t) noexcept { return {this, t}; }
+  /// `parked`, if given, holds the sleeping handle for wake_early() until
+  /// the sleep ends.
+  SleepAwaiter sleep_until(sim::Time t,
+                           std::coroutine_handle<>* parked = nullptr) noexcept {
+    return {this, t, parked};
+  }
 
   /// Ends the sleep_until() that `h` is parked in: `h` resumes on the next
   /// loop turn and its timer fires nothing. Returns false, and does nothing,
@@ -169,6 +200,8 @@ class EpollExecutor {
   void arm_timer();
   void expire_timers();
   void sweep_finished_roots();
+  /// Moves posted handles into the ready queue.
+  void take_posted();
   /// Runs one bounded pass; returns the number of resumes.
   std::size_t drain_ready();
 
@@ -193,6 +226,20 @@ class EpollExecutor {
   std::size_t fd_waiters_ = 0;
   LoopCounters counters_;
   std::vector<sim::Task::Handle> roots_;
+
+  // Cross-thread posting (inert until enable_post()). A poster appends under
+  // post_m_, raises posted_, and writes wake_fd_ only if it then reads
+  // parked_ set; the loop sets parked_ before it re-reads posted_ and blocks.
+  // Both sides store, then load, seq_cst, so at least one of them sees the
+  // other: either the loop does not block or the poster wakes it.
+  inline static thread_local const EpollExecutor* running_ = nullptr;
+  int wake_fd_ = -1;
+  std::mutex post_m_;
+  std::vector<std::coroutine_handle<>> posted_queue_;  // guarded by post_m_
+  std::vector<std::coroutine_handle<>> posted_taken_;  // loop-only swap buffer
+  std::atomic<bool> posted_{false};
+  std::atomic<bool> parked_{false};
+  std::atomic<bool> wake_sent_{false};  // wake_fd_ written, not yet read
 };
 
 // ---------------------------------------------------------- primitives ----

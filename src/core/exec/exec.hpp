@@ -8,29 +8,31 @@
 //     existing sim primitives, so the body expands to the same (time, seq)
 //     event sequence the pre-refactor SimZipper produced — the golden-digest
 //     byte-identity oracle pins this down.
-//   * ThreadPoolExecutor (threaded.hpp) is a TaskProcessor-style worker pool
-//     with a monotonic clock and parking-lot wakeups. Its awaitables complete
-//     the blocking operation inside await_ready() and never suspend, so each
-//     spawned coroutine occupies one worker for its lifetime — the
-//     RunInCoro idiom: coroutine-shaped code over real blocking threads.
+//   * EpollExecutor (epoll.hpp) is a real-time event loop on one thread with
+//     a monotonic clock. Its awaitables genuinely suspend: a parked coroutine
+//     costs a handle on a waitlist, not a thread. Two bindings run on it:
+//     NetBinding (zipperd and its clients, single-threaded Ep* primitives)
+//     and RtBinding (the embedded rt::Runtime, whose Mt* primitives in
+//     mt_sync.hpp also let application threads block on them from outside
+//     the loop; the loop takes their wake-ups through post()).
 //
 // An executor binding `B` provides:
 //   B::Task                 coroutine task type (sim::Task works for both)
 //   B::Time                 clock type, ns (sim::Time for both)
 //   B::Ctx                  primitive-construction context (Simulation& /
-//                           ThreadPoolExecutor&)
+//                           EpollExecutor&)
 //   B::Mutex / B::CondVar / B::Latch     awaitable sync primitives
 //   B::Channel<T>           bounded MPMC channel (awaitable send/recv)
 //   B::RawMutex             non-suspending lockable guarding plain shared
-//                           state (a no-op under virtual time, where one
-//                           event never interleaves with another)
+//                           state (a no-op where one loop or event queue is
+//                           the only thread that touches it)
 //   B::Payload              per-block payload (empty under virtual time,
-//                           shared_ptr<Block> under threads)
+//                           shared_ptr<Block> in real time)
 //   B::Span                 RAII trace span on the binding's clock
 //   B::Env                  the environment: spawn/now/sleep plus the
 //                           transport + file-system effect operations
 //   B::kConsumersMayAbandon whether an external application thread can stop
-//                           draining a consumer mid-run (threads: yes)
+//                           draining a consumer mid-run (RtBinding: yes)
 #pragma once
 
 #include <cstdint>
@@ -61,7 +63,7 @@ struct RankStats {
 /// Whole-instance aggregate counters, identical in name and meaning to the
 /// historical SimZipperStats (core/dsim aliases this struct, so the workflow
 /// metric formulas are untouched). Times are on the binding's clock:
-/// simulated ns under virtual time, monotonic ns under threads.
+/// simulated ns under virtual time, monotonic ns in real time.
 struct AggregateStats {
   sim::Time producer_stall = 0;  // put blocked on a full buffer
   sim::Time sender_busy = 0;     // data-transfer time on sender tasks

@@ -4,7 +4,7 @@
 #include <optional>
 #include <utility>
 
-#include "core/exec/threaded.hpp"
+#include "core/exec/mt_sync.hpp"
 #include "core/zipper/rt_binding.hpp"
 
 namespace zipper::core::rt {
@@ -120,6 +120,7 @@ Runtime::Runtime(int num_producers, int num_consumers, Config config)
     body_->spawn_producer_services(p);
   }
   body_->spawn_control();
+  env_->start();
 }
 
 const chaos::ChaosEngine* Runtime::chaos() const noexcept {
@@ -133,11 +134,11 @@ void Runtime::wait_idle() {
 }
 
 Runtime::~Runtime() {
-  // Emergency teardown must leave no service coroutine blocked, or the
-  // executor join below would hang. Close the transport first so an
-  // unfinished producer's sender cannot wedge on a net channel no consumer
-  // drains anymore (sends on a closed channel fail silently, exactly like
-  // the old thread runtime's push-returns-false path).
+  // Emergency teardown must leave no service coroutine parked, or the loop
+  // would never run out of roots and the join below would hang. Close the
+  // transport first so an unfinished producer's sender cannot wedge on a net
+  // channel no consumer drains anymore (a send on a closed channel fails
+  // silently).
   env_->close_transport();
   for (auto& pe : producers_) {
     if (!pe.finished_) {
@@ -147,10 +148,10 @@ Runtime::~Runtime() {
   }
   env_->stop_control();
   // Unblock every consumer-side stage (a consumer abandoned mid-stream could
-  // otherwise leave its reader parked on a full buffer), then join the
-  // workers while the body the coroutines reference is still alive.
+  // otherwise leave its reader parked on a full buffer), then join the loop
+  // thread while the body the coroutines reference is still alive.
   body_->emergency_close_consumers();
-  env_->prim().shutdown();
+  env_->join();
 }
 
 }  // namespace zipper::core::rt

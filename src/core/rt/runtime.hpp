@@ -12,15 +12,17 @@
 //
 // Since the coroutine-native unification this is a thin facade: the
 // application logic lives in core/zipper/ZipperBody — the same body the
-// discrete-event runtime instantiates — bound here to the
-// core/exec/ThreadPoolExecutor (worker threads, monotonic clock, blocking
-// channels) through RtEnv. The "low-latency HPC network" is an in-process
-// message channel (optionally throttled to a configurable bandwidth so the
-// dual-channel behaviour can be observed on one machine), and the "parallel
-// file system" is a spill directory on the real file system. Mixed messages
-// carry one data block plus the IDs of blocks the writer spilled to disk,
-// exactly as in the paper; the consumer's reader fetches those from the spill
-// directory.
+// discrete-event runtime instantiates — bound here through RtEnv to one
+// core/exec EpollExecutor loop on a thread of its own. Every service above
+// is a coroutine on that loop; the application's threads call write() and
+// read() and block only on a full or empty buffer (core/exec/mt_sync.hpp), so
+// a Runtime adds exactly one thread. The "low-latency HPC network" is an
+// in-process message channel (optionally throttled to a configurable
+// bandwidth so the dual-channel behaviour can be observed on one machine),
+// and the "parallel file system" is a spill directory on the real file
+// system. Mixed messages carry one data block plus the IDs of blocks the
+// writer spilled to disk, exactly as in the paper; the consumer's reader
+// fetches those from the spill directory.
 //
 // API (paper §4.1):  producer(i).write(id, data, bytes)  /  consumer(j).read().
 //
@@ -78,8 +80,8 @@ struct Config {
   /// Chaos injection (core/chaos): when chaos.any(), the runtime builds a
   /// seeded ChaosEngine over `chaos_horizon_s` of wall time. Consumers hit
   /// by the straggler/fault axes serve each received block
-  /// `chaos_block_service_ns x (slowdown - 1)` slower (real sleeps on the
-  /// receiver worker); drift is app-driven via Runtime::chaos(). Defaults
+  /// `chaos_block_service_ns x (slowdown - 1)` slower (a timer on the
+  /// runtime's loop); drift is app-driven via Runtime::chaos(). Defaults
   /// leave the schedule untouched.
   chaos::ChaosSpec chaos;
   std::uint64_t chaos_block_service_ns = 0;  // base per-block service time

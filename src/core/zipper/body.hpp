@@ -11,8 +11,11 @@
 //                          to the same (time, seq) event sequence as the
 //                          historical core/dsim implementation (the golden
 //                          figure digests pin this byte-for-byte);
-//   ZipperBody<RtBinding>  runs on the ThreadPoolExecutor with real blocking
-//                          channels, real spill files and a monotonic clock.
+//   ZipperBody<RtBinding>  runs its services as coroutines on one
+//                          EpollExecutor loop, with thread-safe channels the
+//                          application's threads block on, real spill files
+//                          and a monotonic clock;
+//   ZipperBody<NetBinding> runs on the same loop over real sockets (zipperd).
 //
 // core/sched and core/chaos are consulted from here and only here; the
 // facades (core/dsim/SimZipper, core/rt/Runtime) contain no policy.
@@ -108,9 +111,9 @@ struct Mixed {
 
 namespace detail {
 
-/// Aggregate counters as relaxed atomics: the threaded instantiation updates
-/// them from many workers; under virtual time the single-threaded event loop
-/// touches them in deterministic order.
+/// Aggregate counters as relaxed atomics: under RtBinding both the loop and
+/// the application threads update them; under virtual time the
+/// single-threaded event loop touches them in deterministic order.
 struct AtomicAggregate {
   std::atomic<sim::Time> producer_stall{0}, sender_busy{0}, writer_busy{0},
       analysis_busy{0}, store_busy{0};

@@ -119,7 +119,6 @@ class NetEnv {
   // ------------------------------------------------------ contract core ----
 
   exec::EpollExecutor& prim() noexcept { return *ex_; }
-  exec::EpollExecutor& executor() noexcept { return *ex_; }
   sim::Time now() const noexcept { return ex_->now(); }
   /// Chaos window clock: seconds since this env was constructed (session
   /// start). Client and daemon construct their envs a connect-handshake
@@ -316,7 +315,7 @@ class NetEnv {
   /// One controller interval, cut short by stop_control(); `alive` is false
   /// once stopped.
   sim::Task control_tick(sim::Time interval, bool& alive) {
-    if (!stopped_) co_await TickAwaiter{this, ex_->now() + interval};
+    if (!stopped_) co_await ex_->sleep_until(ex_->now() + interval, &tick_h_);
     alive = !stopped_;
   }
 
@@ -343,18 +342,6 @@ class NetEnv {
 
  private:
   static constexpr sim::Time kStealPoll = 500 * sim::kMicrosecond;
-
-  /// control_tick's sleep, which stop_control() can end early.
-  struct TickAwaiter {
-    NetEnv* env;
-    sim::Time deadline;
-    bool await_ready() const noexcept { return deadline <= env->ex_->now(); }
-    void await_suspend(std::coroutine_handle<> h) {
-      env->tick_h_ = h;
-      env->ex_->sleep_until(deadline).await_suspend(h);
-    }
-    void await_resume() const noexcept { env->tick_h_ = {}; }
-  };
 
   exec::EpollExecutor* ex_;
   NetEnvConfig cfg_;

@@ -1,13 +1,16 @@
-// Threaded binding: runs ZipperBody on the ThreadPoolExecutor with real
-// blocking channels, real spill/preserve files, a shared-rate token bucket
-// standing in for the HPC network, and a monotonic clock. Spans are real
-// [t0, t1] intervals on that clock, recorded into an optional
-// trace::Recorder (serialized by an env-local lock), so threaded runs get
-// true per-span nesting instead of synthetic counter-derived spans.
+// Threaded binding: runs ZipperBody for an embedded rt::Runtime. Every body
+// service is a suspending coroutine on one EpollExecutor loop thread; the
+// application's threads call in through run_inline() and block in the Mt*
+// primitives (core/exec/mt_sync.hpp) only on a full or empty buffer. The
+// network is an in-process channel (throttled by a token bucket whose waits
+// are loop timers), the file system a spill directory of real files. Spans
+// are real [t0, t1] intervals on the loop's monotonic clock, recorded into an
+// optional trace::Recorder behind an env-local lock.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,7 +23,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/exec/threaded.hpp"
+#include "core/exec/epoll.hpp"
+#include "core/exec/mt_sync.hpp"
+#include "core/exec/virtual_time.hpp"  // exec::NullMutex
 #include "core/zipper/body.hpp"
 
 namespace zipper::core::zbody {
@@ -30,7 +35,7 @@ class RtEnv;
 /// RAII trace span on the monotonic clock; inert when no recorder is set.
 class RtSpan {
  public:
-  RtSpan(trace::Recorder* rec, std::mutex* rec_m, exec::ThreadPoolExecutor* ex,
+  RtSpan(trace::Recorder* rec, std::mutex* rec_m, exec::EpollExecutor* ex,
          int rank, trace::Cat cat)
       : rec_(rec), rec_m_(rec_m), ex_(ex), rank_(rank), cat_(cat),
         t0_(rec ? ex->now() : 0) {}
@@ -46,7 +51,7 @@ class RtSpan {
  private:
   trace::Recorder* rec_;
   std::mutex* rec_m_;
-  exec::ThreadPoolExecutor* ex_;
+  exec::EpollExecutor* ex_;
   int rank_;
   trace::Cat cat_;
   sim::Time t0_;
@@ -55,13 +60,14 @@ class RtSpan {
 struct RtBinding {
   using Task = sim::Task;
   using Time = sim::Time;
-  using Ctx = exec::ThreadPoolExecutor;
-  using Mutex = exec::TpMutex;
-  using CondVar = exec::TpCondVar;
-  using Latch = exec::TpLatch;
-  using RawMutex = std::mutex;
+  using Ctx = exec::EpollExecutor;
+  using Mutex = exec::MtMutex;
+  using CondVar = exec::MtCondVar;
+  using Latch = exec::MtLatch;
+  /// Only loop coroutines (sender, writer) touch the spilled-ID map.
+  using RawMutex = exec::NullMutex;
   template <typename T>
-  using Channel = exec::TpChannel<T>;
+  using Channel = exec::MtChannel<T>;
   /// Real blocks carry their bytes; shared ownership enforces the Preserve
   /// guarantee (a block is freed only once analyzed *and* persisted).
   using Payload = std::shared_ptr<Block>;
@@ -121,56 +127,65 @@ inline std::vector<std::byte> read_file(const std::filesystem::path& p,
 }
 
 /// Shared-rate limiter standing in for the HPC network's finite bandwidth.
+/// Loop-only: every sender runs on the one loop, so no lock is needed.
 class TokenBucket {
  public:
   explicit TokenBucket(double bytes_per_second) : rate_(bytes_per_second) {}
 
-  void acquire(std::uint64_t bytes) {
-    if (rate_ <= 0) return;
-    std::chrono::steady_clock::time_point wake;
-    {
-      std::lock_guard lk(m_);
-      const auto now = std::chrono::steady_clock::now();
-      if (next_free_ < now) next_free_ = now;
-      next_free_ += std::chrono::nanoseconds(
-          static_cast<std::int64_t>(static_cast<double>(bytes) / rate_ * 1e9));
-      wake = next_free_;
-    }
-    std::this_thread::sleep_until(wake);
+  /// Books `bytes` on the link; returns when (executor ns) they have left
+  /// it, or 0 when unthrottled.
+  sim::Time reserve(sim::Time now, std::uint64_t bytes) {
+    if (rate_ <= 0) return 0;
+    next_free_ = std::max(next_free_, now) +
+                 static_cast<sim::Time>(static_cast<double>(bytes) / rate_ * 1e9);
+    return next_free_;
   }
 
  private:
-  std::mutex m_;
   double rate_;
-  std::chrono::steady_clock::time_point next_free_{};
+  sim::Time next_free_ = 0;
 };
 
 }  // namespace rtdetail
 
 /// Effect operations against the real machine: per-consumer net channels
 /// (the "low-latency HPC network"), a spill directory (the "parallel file
-/// system"), real sleeps for chaos service inflation.
+/// system"), loop timers for the throttle and chaos service inflation. Owns
+/// the loop and its thread: spawn the services, then start().
 class RtEnv {
  public:
   using ItemT = Item<RtBinding>;
   using MixedT = Mixed<RtBinding>;
 
   RtEnv(RtEnvConfig cfg, int num_consumers)
-      : cfg_(std::move(cfg)), net_bw_(cfg_.network_bandwidth) {
+      : cfg_(std::move(cfg)), net_bw_(cfg_.network_bandwidth), stop_(ex_, 1) {
+    ex_.enable_post();
     nets_.reserve(static_cast<std::size_t>(num_consumers));
     for (int c = 0; c < num_consumers; ++c) {
-      nets_.push_back(std::make_unique<exec::TpChannel<MixedT>>(
+      nets_.push_back(std::make_unique<exec::MtChannel<MixedT>>(
           ex_, cfg_.net_channel_blocks));
     }
   }
+  ~RtEnv() { join(); }
 
-  exec::ThreadPoolExecutor& prim() noexcept { return ex_; }
-  exec::ThreadPoolExecutor& executor() noexcept { return ex_; }
+  /// Starts the loop thread; it runs until every spawned service finished.
+  void start() {
+    loop_ = std::thread([this] { ex_.run(); });
+  }
+  /// Waits for the loop thread. Every service must be unblockable by now
+  /// (its channels closed, its producer finalized, control stopped).
+  void join() {
+    if (loop_.joinable()) loop_.join();
+  }
+
+  exec::EpollExecutor& prim() noexcept { return ex_; }
   sim::Time now() const noexcept { return ex_.now(); }
   /// Chaos/controller clock: seconds since runtime construction (the fault
   /// windows' origin, like the old chaos_t0).
   double now_s() const noexcept { return sim::to_seconds(ex_.now()); }
+  /// Before start() from the constructing thread, after it from the loop.
   void spawn(sim::Task t) { ex_.spawn(std::move(t)); }
+  /// A loop timer: only loop coroutines sleep through it.
   auto sleep(sim::Time d) { return ex_.sleep_until(ex_.now() + d); }
 
   RtSpan span(int rank, trace::Cat cat) {
@@ -186,7 +201,9 @@ class RtEnv {
 
   sim::Task send_mixed(int p, int c, MixedT msg) {
     (void)p;
-    net_bw_.acquire(msg.item.h.bytes);
+    if (const sim::Time t = net_bw_.reserve(ex_.now(), msg.item.h.bytes)) {
+      co_await ex_.sleep_until(t);
+    }
     co_await nets_[static_cast<std::size_t>(c)]->send(std::move(msg));
   }
 
@@ -200,7 +217,7 @@ class RtEnv {
   }
 
   /// Straggler / fault injection: a chaos-slowed consumer serves each
-  /// received block that much extra service time, for real.
+  /// received block that much extra service time, for real (a loop timer).
   sim::Task receive_block(int c, std::uint64_t bytes, int producer,
                           double slow) {
     (void)c;
@@ -247,21 +264,26 @@ class RtEnv {
     co_return;
   }
 
-  /// Interruptible control-loop tick: sleeps `interval` or until
-  /// stop_control(); `alive` is false once stopped.
+  /// One controller interval on a loop timer, cut short by stop_control();
+  /// `alive` is false once stopped.
   sim::Task control_tick(sim::Time interval, bool& alive) {
-    std::unique_lock lk(stop_m_);
-    stop_cv_.wait_for(lk, std::chrono::nanoseconds(interval),
-                      [&] { return stop_; });
-    alive = !stop_;
-    co_return;
+    if (!watching_stop_) {
+      watching_stop_ = true;
+      ex_.spawn(watch_stop());
+    }
+    if (!stopped_) co_await ex_.sleep_until(ex_.now() + interval, &tick_h_);
+    alive = !stopped_;
   }
 
   sim::Time analysis_cost(std::uint64_t) const noexcept { return 0; }
 
-  /// Bounded wait on the own buffer between steal probes.
-  sim::Task idle_recv(exec::TpChannel<ItemT>& buf, std::optional<ItemT>& out) {
-    out = buf.recv_for_ns(kStealPoll);
+  // consumer_next runs on the application thread inside read(), so the
+  // stealing polls below sleep that thread, never the loop.
+
+  /// One look at the own buffer between steal probes.
+  sim::Task idle_recv(exec::MtChannel<ItemT>& buf, std::optional<ItemT>& out) {
+    out = buf.try_recv();
+    if (!out) std::this_thread::sleep_for(std::chrono::nanoseconds(kStealPoll));
     co_return;
   }
   sim::Task drain_nap() {
@@ -269,16 +291,13 @@ class RtEnv {
     co_return;
   }
 
+  /// Thread-safe; the first call ends the control loop.
   void stop_control() {
-    {
-      std::lock_guard lk(stop_m_);
-      stop_ = true;
-    }
-    stop_cv_.notify_all();
+    if (!stop_requested_.exchange(true)) stop_.count_down();
   }
 
   /// Emergency teardown: unblocks receivers (and senders parked on a full
-  /// net channel) so the executor can join its workers.
+  /// net channel) so every service can finish and the loop thread exit.
   void close_transport() {
     for (auto& n : nets_) n->close();
   }
@@ -286,14 +305,26 @@ class RtEnv {
  private:
   static constexpr sim::Time kStealPoll = 500 * sim::kMicrosecond;
 
+  /// Loop-side half of stop_control(): wake_early is loop-only, so a root
+  /// on the loop waits for the cross-thread latch and ends the tick.
+  sim::Task watch_stop() {
+    co_await stop_.wait();
+    stopped_ = true;
+    if (tick_h_) ex_.wake_early(std::exchange(tick_h_, {}));
+  }
+
   RtEnvConfig cfg_;
-  exec::ThreadPoolExecutor ex_;
+  exec::EpollExecutor ex_;
   rtdetail::TokenBucket net_bw_;
-  std::vector<std::unique_ptr<exec::TpChannel<MixedT>>> nets_;
+  std::vector<std::unique_ptr<exec::MtChannel<MixedT>>> nets_;
   std::mutex rec_m_;
-  std::mutex stop_m_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
+  exec::MtLatch stop_;  // counted down once by stop_control()
+  std::atomic<bool> stop_requested_{false};
+  // Loop-only control state.
+  bool watching_stop_ = false;
+  bool stopped_ = false;
+  std::coroutine_handle<> tick_h_;  // control_tick parked in its sleep
+  std::thread loop_;
 };
 
 extern template class ZipperBody<RtBinding>;

@@ -2,9 +2,13 @@
 //
 // A `Task` is an eager-free (initially suspended) coroutine. There are two
 // ways to run one:
-//   * `co_await child_task()` from another Task: suspends the parent, runs the
-//     child to completion (possibly across many simulated-time suspensions),
-//     then resumes the parent via symmetric transfer. The awaiting expression
+//   * `co_await child_task()` from another Task: runs the child inline, on the
+//     parent's stack. A child that finishes without suspending lets the parent
+//     continue without suspending either (await_suspend returns false), so a
+//     loop over such children uses constant stack whether or not the compiler
+//     turns symmetric transfer into a tail call (it does not at -O0 or under
+//     ASan). A child that suspends suspends the parent too, and resumes it
+//     through symmetric transfer when it finishes. The awaiting expression
 //     owns the child frame.
 //   * `Simulation::spawn(std::move(task))`: detaches the task as a root
 //     simulated process; the Simulation owns the frame and schedules its first
@@ -28,6 +32,13 @@ class Task {
   struct promise_type {
     std::coroutine_handle<> continuation;  // resumed when this task finishes
     std::exception_ptr exception;
+    // True while the awaiting parent is still inside Awaiter::await_suspend,
+    // which resumes this child inline: finishing then must return to that
+    // call, not resume the parent a second time. A plain flag suffices
+    // because a coroutine is only ever resumed on the thread that runs its
+    // event loop (or its run_inline caller), never concurrently with its
+    // parent's await_suspend.
+    bool started_inline = false;
 
     Task get_return_object() { return Task{Handle::from_promise(*this)}; }
     std::suspend_always initial_suspend() noexcept { return {}; }
@@ -35,8 +46,9 @@ class Task {
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
       std::coroutine_handle<> await_suspend(Handle h) noexcept {
-        auto cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
+        const promise_type& p = h.promise();
+        if (p.started_inline || !p.continuation) return std::noop_coroutine();
+        return p.continuation;
       }
       void await_resume() noexcept {}
     };
@@ -72,9 +84,17 @@ class Task {
     struct Awaiter {
       Handle child;
       bool await_ready() const noexcept { return !child || child.done(); }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) noexcept {
-        child.promise().continuation = parent;
-        return child;  // symmetric transfer: run the child now
+      /// Runs the child now. Returns false (the parent goes on without
+      /// suspending) when it finished; true when it suspended, in which case
+      /// its final suspend resumes the parent.
+      bool await_suspend(std::coroutine_handle<> parent) noexcept {
+        promise_type& p = child.promise();
+        p.continuation = parent;
+        p.started_inline = true;
+        child.resume();
+        if (child.done()) return false;
+        p.started_inline = false;
+        return true;
       }
       void await_resume() const {
         if (child && child.promise().exception) {

@@ -1,9 +1,12 @@
 // Tests for the real (threaded) Zipper runtime: end-to-end delivery and
 // integrity over both channels, work-stealing behaviour, Preserve mode
-// durability, termination, stress.
+// durability, termination, stress; and the cross-thread wake paths between
+// its one loop thread and the application's threads.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -14,6 +17,8 @@
 
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
+#include "core/exec/epoll.hpp"
+#include "core/exec/mt_sync.hpp"
 #include "core/rt/runtime.hpp"
 #include "trace/timeline.hpp"
 
@@ -49,6 +54,23 @@ std::vector<std::byte> make_payload(std::uint64_t seed, std::size_t n) {
   zipper::common::Xoshiro256 rng(seed);
   for (auto& b : out) b = static_cast<std::byte>(rng() & 0xFF);
   return out;
+}
+
+/// Spins until `pred` holds or `limit` passes; returns pred().
+template <typename Pred>
+bool eventually(Pred pred, std::chrono::milliseconds limit =
+                               std::chrono::milliseconds(10'000)) {
+  const auto end = std::chrono::steady_clock::now() + limit;
+  while (!pred() && std::chrono::steady_clock::now() < end) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+std::size_t threads_in_process() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : fs::directory_iterator("/proc/self/task")) ++n;
+  return n;
 }
 
 Config base_config(const TempDirs& dirs) {
@@ -406,4 +428,184 @@ TEST(RtRuntime, RealSpansGiveThreadedRunsPerSpanNesting) {
   // Producer and consumer ranks both show up in one attribution.
   EXPECT_TRUE(ranks_seen & 1ull) << "producer rank 0 missing from trace";
   EXPECT_TRUE(ranks_seen & (1ull << P)) << "consumer rank missing from trace";
+}
+
+// ------------------------------------------------- loop <-> app wake paths --
+
+TEST(RtRuntime, ConstructingARuntimeAddsExactlyOneThread) {
+  // Every service is a coroutine on the runtime's one loop thread, however
+  // many endpoints there are; destruction joins it.
+  TempDirs dirs;
+  Config cfg = base_config(dirs);
+  cfg.controller = [](const zipper::core::chaos::ControlSnapshot&) {
+    return zipper::core::chaos::ControlAction{};
+  };
+  const std::size_t before = threads_in_process();
+  {
+    Runtime rt(4, 3, cfg);
+    EXPECT_EQ(threads_in_process(), before + 1);
+    for (int p = 0; p < 4; ++p) rt.producer(p).finish();
+    for (int c = 0; c < 3; ++c) {
+      while (rt.consumer(c).read()) {
+      }
+    }
+  }
+  EXPECT_EQ(threads_in_process(), before);
+}
+
+TEST(RtRuntime, ProducerBlockedOnAFullBufferIsWokenByTheLoop) {
+  // Fill every buffer on the path until write() blocks the producer thread
+  // in the producer buffer's condvar; then drain from this thread. Only the
+  // sender coroutine on the loop taking a block can release the producer.
+  TempDirs dirs;
+  Config cfg = base_config(dirs);
+  cfg.enable_steal = false;
+  cfg.producer_buffer_blocks = 2;
+  cfg.net_channel_blocks = 2;
+  cfg.consumer_buffer_blocks = 2;
+  auto* rt = new Runtime(1, 1, cfg);  // leaked if the producer wedges
+  const int kBlocks = 64;
+  auto* written = new std::atomic<int>{0};
+  std::thread producer([rt, written] {
+    const auto payload = make_payload(3, 1024);
+    for (int b = 0; b < kBlocks; ++b) {
+      rt->producer(0).write(BlockId{0, 0, b}, payload);
+      written->fetch_add(1);
+    }
+    rt->producer(0).finish();
+  });
+  // Blocked: the count stops short of kBlocks and stays there.
+  const bool blocked = eventually([&] {
+    const int n = written->load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return n == written->load() && n < kBlocks;
+  });
+  auto* read = new std::atomic<int>{0};
+  auto* reader_done = new std::atomic<bool>{false};
+  std::thread consumer([rt, read, reader_done] {
+    while (rt->consumer(0).read()) read->fetch_add(1);
+    reader_done->store(true);
+  });
+  if (!eventually([&] { return reader_done->load(); })) {
+    producer.detach();  // leak the wedged runtime rather than crash the suite
+    consumer.detach();
+    FAIL() << "producer stayed parked at " << written->load() << " of "
+           << kBlocks;
+  }
+  producer.join();
+  consumer.join();
+  EXPECT_TRUE(blocked) << "the producer never blocked on the full path";
+  EXPECT_EQ(read->load(), kBlocks);
+  EXPECT_GT(rt->producer(0).stats().stall_ns, 0u);
+  delete rt;
+  delete written;
+  delete read;
+  delete reader_done;
+}
+
+TEST(RtRuntime, ControllerTicksOnTheLoopAndStopsWithTheRuntime) {
+  // The control loop sleeps on a loop timer; the destructor, on another
+  // thread, must end that sleep early (a 1 h interval would hang it).
+  TempDirs dirs;
+  Config cfg = base_config(dirs);
+  std::atomic<int> ticks{0};
+  cfg.controller = [&](const zipper::core::chaos::ControlSnapshot&) {
+    ticks.fetch_add(1);
+    return zipper::core::chaos::ControlAction{};
+  };
+  cfg.control_interval = 2 * zipper::sim::kMillisecond;
+  {
+    Runtime rt(1, 1, cfg);
+    EXPECT_TRUE(eventually([&] { return ticks.load() >= 3; }));
+    cfg.control_interval = 3600 * zipper::sim::kSecond;
+  }
+  {
+    Runtime rt(1, 1, cfg);  // first tick is an hour away
+  }
+}
+
+namespace {
+
+namespace ex = zipper::core::exec;
+
+/// One round of the loop-wake race. A coroutine parks on a latch; a second
+/// one keeps the loop from deciding to block until this thread has counted
+/// the latch down (or 1 s passed: the two threads may share a CPU and take
+/// turns in scheduler slices). `before_block` posts inside that spell,
+/// where only the loop's re-check of posted_ after raising parked_ sees the
+/// post; otherwise the post comes 2 ms later, to a loop blocked in
+/// epoll_wait, and must write the eventfd. Returns false if the loop never
+/// finished.
+bool post_wakes_loop(bool before_block) {
+  auto* loop = new ex::EpollExecutor;
+  loop->enable_post();
+  auto* latch = new ex::MtLatch(*loop, 1);
+  auto* stage = new std::atomic<int>{0};  // 1: loop busy; 2: posted
+  auto* finished = new std::atomic<bool>{false};
+  loop->spawn([](ex::MtLatch& l) -> zipper::sim::Task {
+    co_await l.wait();
+  }(*latch));
+  loop->spawn([](std::atomic<int>& st) -> zipper::sim::Task {
+    st.store(1);
+    const auto limit =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (st.load() != 2 && std::chrono::steady_clock::now() < limit) {
+    }
+    co_return;
+  }(*stage));
+  std::thread t([loop, finished] {
+    loop->run();
+    finished->store(true);
+  });
+  while (stage->load() != 1) std::this_thread::yield();
+  if (!before_block) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  latch->count_down();
+  stage->store(2);
+  if (!eventually([&] { return finished->load(); })) {
+    t.detach();  // leak the wedged loop rather than crash the suite
+    return false;
+  }
+  t.join();
+  delete latch;
+  delete loop;
+  delete stage;
+  delete finished;
+  return true;
+}
+
+}  // namespace
+
+TEST(RtLoopWake, PostFromAnAppThreadWakesALoopParkedInEpollWait) {
+  for (int round = 0; round < 40; ++round) {
+    const bool before_block = round % 2 == 0;
+    ASSERT_TRUE(post_wakes_loop(before_block))
+        << "lost wake-up in round " << round << " (post "
+        << (before_block ? "before the loop blocked)" : "to a blocked loop)");
+  }
+}
+
+TEST(RtLoopWake, AppThreadBlockedOnAFullChannelIsReleasedByTheLoop) {
+  ex::EpollExecutor loop;
+  loop.enable_post();
+  ex::MtChannel<int> ch(loop, 1);
+  ex::MtLatch go(loop, 1);
+  std::vector<int> got;
+  loop.spawn([](ex::MtChannel<int>& c, ex::MtLatch& g,
+                std::vector<int>& out) -> zipper::sim::Task {
+    co_await g.wait();  // let the app thread fill the channel and block
+    while (auto v = co_await c.recv()) out.push_back(*v);
+  }(ch, go, got));
+  std::thread t([&loop] { loop.run(); });
+  std::thread sender([&] {
+    ex::run_inline([](ex::MtChannel<int>& c) -> zipper::sim::Task {
+      for (int i = 0; i < 100; ++i) co_await c.send(i);
+    }(ch));
+    ch.close();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  go.count_down();
+  sender.join();
+  t.join();
+  ASSERT_EQ(got.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
 }

@@ -8,6 +8,9 @@ byte-stable. This script pins that contract with checked-in SHA-256 digests:
     # refresh the manifest after an intentional output change
     python3 tools/check_golden.py generate --lab build/zipper_lab
 
+    # refresh only some figures; every other line stays as it is
+    python3 tools/check_golden.py generate fig11 --lab build/zipper_lab
+
     # CI: re-run every figure and fail on any drift
     python3 tools/check_golden.py check --lab build/zipper_lab
 
@@ -93,6 +96,24 @@ def load_manifest(path):
     return entries
 
 
+def merge_manifest(path, figures, digests):
+    """The manifest's lines with the listed figures' digests replaced in
+    place (new figures appended); every other line is kept byte-for-byte."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.readlines()
+    pending = list(figures)
+    for i, line in enumerate(lines):
+        parts = line.split(None, 1)
+        if len(parts) != 2 or line.startswith("#"):
+            continue
+        fig = parts[1].strip().removesuffix(".csv")
+        if fig in digests:
+            lines[i] = f"{digests[fig]}  {fig}.csv\n"
+            pending.remove(fig)
+    lines += [f"{digests[fig]}  {fig}.csv\n" for fig in pending]
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("mode", choices=["generate", "check"])
@@ -111,12 +132,15 @@ def main():
     digests = collect(args.lab, figures, args.jobs, args.sim_threads)
 
     if args.mode == "generate":
+        if args.figures and os.path.exists(args.manifest):
+            lines = merge_manifest(args.manifest, figures, digests)
+        else:
+            lines = ["# Quick-mode figure CSV digests — tools/check_golden.py\n",
+                     "# Regenerate: python3 tools/check_golden.py generate "
+                     "--lab build/zipper_lab\n"]
+            lines += [f"{digests[fig]}  {fig}.csv\n" for fig in figures]
         with open(args.manifest, "w", encoding="utf-8") as f:
-            f.write("# Quick-mode figure CSV digests — tools/check_golden.py\n")
-            f.write("# Regenerate: python3 tools/check_golden.py generate "
-                    "--lab build/zipper_lab\n")
-            for fig in figures:
-                f.write(f"{digests[fig]}  {fig}.csv\n")
+            f.writelines(lines)
         print(f"golden manifest: wrote {len(figures)} digests to {args.manifest}")
         return 0
 

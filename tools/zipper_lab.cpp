@@ -198,9 +198,9 @@ int cmd_list(int argc, char** argv) {
 // sweep axes use — instead of a bare "unknown flag".
 constexpr const char* kRunFlagHelp[] = {
     "--full                      full-scale scenario set (paper-scale ranks)",
-    "--rt                        threaded-executor smoke: run a scaled-down cut",
-    "                            of the figure's first Zipper scenario on the",
-    "                            real ThreadPoolExecutor runtime (core/rt)",
+    "--rt                        embedded-runtime smoke: run a scaled-down cut",
+    "                            of the figure's first Zipper scenario on",
+    "                            core/rt (app threads + one epoll loop thread)",
     "--net                       real-socket smoke: the same scaled-down cut",
     "                            as an in-process zipperd + client coupling",
     "                            over localhost TCP (EpollExecutor runtime)",
@@ -220,7 +220,8 @@ int bad_run_flag(const char* why, const std::string& arg) {
 
 /// `run <figure> --rt`: a scaled-down cut of the figure's first Zipper
 /// scenario on the real threaded runtime — same unified body the DES runs
-/// execute, bound to the ThreadPoolExecutor. Real threads, real spill files;
+/// execute, its services on one EpollExecutor loop thread and the
+/// application on producer/consumer threads. Real spill files;
 /// verifies exactly-once delivery and prints the unified endpoint counters.
 int run_figure_rt_smoke(const FigureDef& fig) {
   const auto specs = fig.scenarios(false);
