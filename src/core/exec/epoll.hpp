@@ -278,12 +278,6 @@ class EpMutex {
   /// co_await lock(); ownership transfers FIFO on unlock().
   LockAwaiter lock() { return LockAwaiter{this}; }
 
-  bool try_lock() {
-    if (locked_) return false;
-    locked_ = true;
-    return true;
-  }
-
   void unlock() {
     assert(locked_ && "unlock of unlocked EpMutex");
     // Ownership passes directly to the first waiter; locked_ stays true.
@@ -293,8 +287,6 @@ class EpMutex {
       locked_ = false;
     }
   }
-
-  bool locked() const noexcept { return locked_; }
 
  private:
   EpollExecutor* ex_;

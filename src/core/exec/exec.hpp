@@ -23,9 +23,6 @@
 //                           EpollExecutor&)
 //   B::Mutex / B::CondVar / B::Latch     awaitable sync primitives
 //   B::Channel<T>           bounded MPMC channel (awaitable send/recv)
-//   B::RawMutex             non-suspending lockable guarding plain shared
-//                           state (a no-op where one loop or event queue is
-//                           the only thread that touches it)
 //   B::Payload              per-block payload (empty under virtual time,
 //                           shared_ptr<Block> in real time)
 //   B::Span                 RAII trace span on the binding's clock

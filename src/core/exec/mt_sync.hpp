@@ -10,8 +10,10 @@
 // room or data, and only a side that is parked is woken. MtMutex is a plain
 // lock on both sides (see the class).
 //
-// Each primitive's state sits behind one std::mutex that is never held
-// across a wake: waiters are collected under it and woken after. A waiter is
+// Each primitive's state sits behind one std::mutex (a condvar's behind the
+// MtMutex of its waiters). Latches and channels collect waiters under it and
+// wake them once it is released; a condvar notify wakes under the notifier's
+// lock (deferring those wakes to the unlock showed no gain). A waiter is
 // an intrusive node in its own awaiter (in the parked coroutine's frame or on
 // the blocked thread's stack), so parking allocates nothing.
 #pragma once
@@ -85,7 +87,7 @@ struct MtAwaiter : MtWaiter {
 /// serialized every block of rt_inproc on two wake-ups.
 class MtMutex {
  public:
-  explicit MtMutex(EpollExecutor& ex) : ex_(&ex) {}
+  explicit MtMutex(EpollExecutor&) {}
   MtMutex(const MtMutex&) = delete;
   MtMutex& operator=(const MtMutex&) = delete;
 
@@ -101,25 +103,16 @@ class MtMutex {
 
   LockAwaiter lock() { return LockAwaiter{&m_}; }
 
-  /// Also wakes the waiters that condvar notifies deferred to this point,
-  /// so none of them wakes only to block on the lock its notifier holds.
-  void unlock() {
-    MtWaitList woken = std::exchange(notified_, {});
-    m_.unlock();
-    wake_all(woken, *ex_);
-  }
+  void unlock() { m_.unlock(); }
 
  private:
   friend class MtCondVar;
 
-  EpollExecutor* ex_;
   std::mutex m_;
-  MtWaitList notified_;  // guarded by m_
 };
 
-/// Condition variable over MtMutex. notify_one/notify_all must be called
-/// with the waiters' mutex held (the body always does): the woken waiters
-/// are handed to that mutex and released by its unlock().
+/// Condition variable over MtMutex. Waits and notifies all happen with the
+/// waiters' mutex held (the body always does), which guards the wait list.
 class MtCondVar {
  public:
   explicit MtCondVar(EpollExecutor& ex) : ex_(&ex) {}
@@ -132,7 +125,7 @@ class MtCondVar {
     EpollExecutor& executor() const noexcept { return *cv->ex_; }
     bool park(std::coroutine_handle<> hh) {
       h = hh;
-      cv->enqueue(this);
+      cv->waiters_.push_back(this);
       mu->unlock();
       return true;
     }
@@ -144,34 +137,14 @@ class MtCondVar {
   WaitAwaiter wait(MtMutex& m) { return WaitAwaiter{{}, this, &m}; }
 
   void notify_one() {
-    MtWaiter* w;
-    {
-      std::lock_guard lk(m_);
-      w = waiters_.pop_front();
-    }
-    if (w) static_cast<WaitAwaiter*>(w)->mu->notified_.push_back(w);
+    if (MtWaiter* w = waiters_.pop_front()) w->wake(*ex_);
   }
 
-  void notify_all() {
-    MtWaitList woken;
-    {
-      std::lock_guard lk(m_);
-      woken = std::exchange(waiters_, {});
-    }
-    while (MtWaiter* w = woken.pop_front()) {
-      static_cast<WaitAwaiter*>(w)->mu->notified_.push_back(w);
-    }
-  }
+  void notify_all() { wake_all(waiters_, *ex_); }
 
  private:
-  void enqueue(MtWaiter* w) {
-    std::lock_guard lk(m_);
-    waiters_.push_back(w);
-  }
-
   EpollExecutor* ex_;
-  std::mutex m_;
-  MtWaitList waiters_;
+  MtWaitList waiters_;  // guarded by the waiters' MtMutex
 };
 
 class MtLatch {
@@ -193,7 +166,10 @@ class MtLatch {
     void await_resume() const noexcept {}
   };
 
+  /// Reads nothing of the latch once its lock is released: a waiter that
+  /// finds the count at zero may destroy the latch right then.
   void count_down(std::int64_t n = 1) {
+    EpollExecutor& ex = *ex_;
     MtWaitList woken;
     {
       std::lock_guard lk(m_);
@@ -201,7 +177,7 @@ class MtLatch {
       count_ -= n;
       if (count_ == 0) woken = std::exchange(waiters_, {});
     }
-    wake_all(woken, *ex_);
+    wake_all(woken, ex);
   }
 
   WaitAwaiter wait() { return WaitAwaiter{{}, this}; }
@@ -334,9 +310,6 @@ class MtChannel {
   }
 
   /// Under m_, on a non-empty buffer (or a closed, drained one): takes the
-  /// front value and lets the first parked sender's value into the freed
-  /// slot. Returns that sender, to be woken once m_ is released.
-  /// Under m_, on a non-empty buffer (or a closed, drained one): takes the
   /// front value. Senders parked on a full buffer get in only once it has
   /// drained to refill_at(); their values then fill the free slots and they
   /// join `woken`, to be woken once m_ is released.
@@ -353,9 +326,10 @@ class MtChannel {
   }
 
   /// An eighth of the capacity free (one slot below 8 slots): each wake of a
-  /// parked sender then moves a batch instead of one value. On rt_inproc a
-  /// per-value wake cost a loop wake-up and a producer wake-up per block;
-  /// half the capacity batched more but doubled the producers' p90 step time.
+  /// parked sender then moves a batch instead of one value. On rt_inproc,
+  /// waking a sender per value raised the producers' median 1 MiB step time
+  /// from ~0.42 to ~0.56 ms (two sets of alternating runs agreed); half the
+  /// capacity batched more but doubled their p90 step time.
   std::size_t refill_at() const noexcept { return capacity_ - capacity_ / 8; }
 
   EpollExecutor* ex_;

@@ -65,7 +65,6 @@ Runtime::Runtime(int num_producers, int num_consumers, Config config)
   if (config_.spill_dir.empty()) {
     config_.spill_dir = fs::temp_directory_path() / "zipper_spill";
   }
-  fs::create_directories(config_.spill_dir);
   if (config_.mode == Mode::kPreserve) {
     if (config_.preserve_dir.empty()) {
       config_.preserve_dir = fs::temp_directory_path() / "zipper_preserve";
@@ -77,7 +76,7 @@ Runtime::Runtime(int num_producers, int num_consumers, Config config)
         config_.chaos, num_producers, num_consumers, config_.chaos_horizon_s);
   }
 
-  zbody::RtEnvConfig ec;
+  zbody::LoopEnvConfig ec;
   ec.spill_dir = config_.spill_dir;
   ec.preserve_dir = config_.preserve_dir;
   ec.preserve = config_.mode == Mode::kPreserve;

@@ -16,8 +16,9 @@
 // core/exec EpollExecutor loop on a thread of its own. Every service above
 // is a coroutine on that loop; the application's threads call write() and
 // read() and block only on a full or empty buffer (core/exec/mt_sync.hpp), so
-// a Runtime adds exactly one thread. The "low-latency HPC network" is an
-// in-process message channel (optionally throttled to a configurable
+// a Runtime adds one thread, plus two I/O threads for spill and Preserve
+// files once the first file operation runs. The "low-latency HPC network"
+// is an in-process message channel (optionally throttled to a configurable
 // bandwidth so the dual-channel behaviour can be observed on one machine),
 // and the "parallel file system" is a spill directory on the real file
 // system. Mixed messages carry one data block plus the IDs of blocks the

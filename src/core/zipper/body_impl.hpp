@@ -35,10 +35,9 @@ struct ZipperBody<B>::Producer {
   typename B::CondVar not_full, not_empty, above_threshold;
   typename B::Latch writer_done;
   typename B::Latch sender_done;  // sender flushed its done messages
-  // Spilled headers per consumer, drained into mixed messages. Guarded by the
-  // binding's RawMutex: a real lock under threads (writer vs sender vs
-  // finalize), a no-op under virtual time where events never interleave.
-  typename B::RawMutex spill_m;
+  // Spilled headers per consumer, drained into mixed messages. Only the
+  // producer's services touch it: DES events or coroutines of one loop,
+  // which never interleave inside these sections, so it needs no lock.
   std::map<int, std::vector<BlockHeader>> spilled;
 };
 
@@ -133,7 +132,6 @@ int ZipperBody<B>::route_for(const BlockId& id) const {
 
 template <class B>
 std::vector<BlockHeader> ZipperBody<B>::take_spilled(Producer& pm, int c) {
-  std::lock_guard<typename B::RawMutex> lk(pm.spill_m);
   auto it = pm.spilled.find(c);
   if (it == pm.spilled.end()) return {};
   auto out = std::move(it->second);
@@ -143,7 +141,6 @@ std::vector<BlockHeader> ZipperBody<B>::take_spilled(Producer& pm, int c) {
 
 template <class B>
 void ZipperBody<B>::add_spilled(Producer& pm, int c, const BlockHeader& h) {
-  std::lock_guard<typename B::RawMutex> lk(pm.spill_m);
   pm.spilled[c].push_back(h);
 }
 

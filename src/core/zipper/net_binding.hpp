@@ -25,9 +25,8 @@
 // session layer sees wire_error() and reports the failure — one dead session
 // cannot take down a load driver multiplexing thousands.
 //
-// Everything runs on one epoll loop thread, so RawMutex is the no-op lock
-// (the spilled-map critical sections contain no co_await) and span recording
-// needs no serialization.
+// Everything runs on one epoll loop thread, file operations included: the
+// Ep* primitives take no lock.
 #pragma once
 
 #include <sys/socket.h>
@@ -35,7 +34,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -44,34 +44,13 @@
 #include <vector>
 
 #include "core/exec/epoll.hpp"
-#include "core/exec/virtual_time.hpp"  // exec::NullMutex
 #include "core/zipper/body.hpp"
+#include "core/zipper/loop_env.hpp"
 #include "core/zipper/net_frame.hpp"
-#include "core/zipper/rt_binding.hpp"  // rtdetail:: file helpers
 
 namespace zipper::core::zbody {
 
 class NetEnv;
-
-/// RAII trace span on the epoll loop's clock; inert without a recorder.
-class NetSpan {
- public:
-  NetSpan(trace::Recorder* rec, exec::EpollExecutor* ex, int rank,
-          trace::Cat cat)
-      : rec_(rec), ex_(ex), rank_(rank), cat_(cat), t0_(rec ? ex->now() : 0) {}
-  NetSpan(const NetSpan&) = delete;
-  NetSpan& operator=(const NetSpan&) = delete;
-  ~NetSpan() {
-    if (rec_) rec_->record(rank_, cat_, t0_, ex_->now());
-  }
-
- private:
-  trace::Recorder* rec_;
-  exec::EpollExecutor* ex_;
-  int rank_;
-  trace::Cat cat_;
-  sim::Time t0_;
-};
 
 struct NetBinding {
   using Task = sim::Task;
@@ -80,61 +59,20 @@ struct NetBinding {
   using Mutex = exec::EpMutex;
   using CondVar = exec::EpCondVar;
   using Latch = exec::EpLatch;
-  /// Single loop thread + no co_await inside the guarded sections.
-  using RawMutex = exec::NullMutex;
   template <typename T>
   using Channel = exec::EpChannel<T>;
   /// Real blocks carry their bytes across the wire.
   using Payload = std::shared_ptr<Block>;
-  using Span = NetSpan;
+  using Span = LoopSpan<NetEnv>;
   using Env = NetEnv;
   /// Daemon consumers are loop coroutines that always drain.
   static constexpr bool kConsumersMayAbandon = false;
 };
 
-struct NetEnvConfig {
-  std::filesystem::path spill_dir;     // shared with the peer process
-  std::filesystem::path preserve_dir;  // daemon-local
-  bool preserve = false;
-  std::size_t net_channel_blocks = 32;
-  std::uint64_t chaos_block_service_ns = 0;
-  std::uint64_t analysis_ns_per_block = 0;
-  trace::Recorder* recorder = nullptr;
-};
-
-class NetEnv {
+class NetEnv : public LoopEnv<NetBinding> {
  public:
-  using ItemT = Item<NetBinding>;
-  using MixedT = Mixed<NetBinding>;
-
-  NetEnv(exec::EpollExecutor& ex, NetEnvConfig cfg, int num_consumers)
-      : ex_(&ex), cfg_(std::move(cfg)), wire_m_(ex) {
-    nets_.reserve(static_cast<std::size_t>(num_consumers));
-    for (int c = 0; c < num_consumers; ++c) {
-      nets_.push_back(std::make_unique<exec::EpChannel<MixedT>>(
-          ex, cfg_.net_channel_blocks));
-    }
-  }
-
-  // ------------------------------------------------------ contract core ----
-
-  exec::EpollExecutor& prim() noexcept { return *ex_; }
-  sim::Time now() const noexcept { return ex_->now(); }
-  /// Chaos window clock: seconds since this env was constructed (session
-  /// start). Client and daemon construct their envs a connect-handshake
-  /// apart, well inside the windows' subsecond placement jitter.
-  double now_s() const noexcept { return sim::to_seconds(ex_->now() - et0_); }
-  void spawn(sim::Task t) { ex_->spawn(std::move(t)); }
-  auto sleep(sim::Time d) { return ex_->sleep_until(ex_->now() + d); }
-
-  NetSpan span(int rank, trace::Cat cat) {
-    return NetSpan(cfg_.recorder, ex_, rank, cat);
-  }
-  void record_span(int rank, trace::Cat cat, sim::Time t0, sim::Time t1) {
-    if (cfg_.recorder) cfg_.recorder->record(rank, cat, t0, t1);
-  }
-
-  void charge_backoff_wait(int, sim::Time) noexcept {}
+  NetEnv(exec::EpollExecutor& ex, LoopEnvConfig cfg, int num_consumers)
+      : LoopEnv(ex, std::move(cfg), num_consumers), wire_m_(ex) {}
 
   // ------------------------------------------------------- client role ----
 
@@ -223,87 +161,21 @@ class NetEnv {
     if (!net.closed()) co_await net.send(std::move(msg));
   }
 
-  sim::Task recv_mixed(int c, std::optional<MixedT>& out) {
-    out = co_await nets_[static_cast<std::size_t>(c)]->recv();
-  }
-
-  /// Chaos service inflation: a fault-window consumer serves each received
-  /// block that much extra time, for real (on the loop's timer wheel).
-  sim::Task receive_block(int c, std::uint64_t bytes, int producer,
-                          double slow) {
-    (void)c;
-    (void)bytes;
-    (void)producer;
-    if (cfg_.chaos_block_service_ns > 0 && slow > 1.0) {
-      co_await sleep(static_cast<sim::Time>(
-          static_cast<double>(cfg_.chaos_block_service_ns) * (slow - 1.0)));
-    }
-  }
-
   // --------------------------------------------------------- spill/PFS ----
-  // File errors are session-fatal, not process-fatal: they mark io_error()
-  // (the session layer reports the failure in its summary) instead of
-  // throwing out of a body service coroutine and killing the whole daemon.
 
   /// Non-empty once a spill/preserve file operation failed.
   const std::string& io_error() const noexcept { return io_error_; }
 
-  /// True once spill_write() created cfg_.spill_dir; its owner removes it.
+  /// True once a spill created cfg_.spill_dir; its owner removes it.
   bool made_spill_dir() const noexcept { return made_spill_dir_; }
 
-  sim::Task spill_write(int p, const ItemT& it) {
-    (void)p;
-    if (!made_spill_dir_) {
-      std::error_code ec;
-      std::filesystem::create_directories(cfg_.spill_dir, ec);
-      if (ec) {
-        if (io_error_.empty()) io_error_ = "spill dir: " + ec.message();
-        co_return;
-      }
-      made_spill_dir_ = true;
-    }
+  /// Runs a file operation inline on the loop. Its errors are
+  /// session-fatal, not process-fatal: they mark io_error() (the session
+  /// layer reports the failure in its summary) instead of throwing out of a
+  /// body service coroutine and killing the whole daemon.
+  sim::Task file_io(const std::function<void()>& fn) {
     try {
-      rtdetail::write_file(rtdetail::spill_path(cfg_.spill_dir, it.h.id),
-                           it.payload ? it.payload->payload
-                                      : std::vector<std::byte>(it.h.bytes));
-    } catch (const std::exception& e) {
-      if (io_error_.empty()) io_error_ = e.what();
-    }
-    co_return;
-  }
-
-  sim::Task fetch_spill(int c, const BlockHeader& h, ItemT& out) {
-    (void)c;
-    auto block = std::make_shared<Block>();
-    block->header = h;
-    try {
-      const std::filesystem::path src =
-          rtdetail::spill_path(cfg_.spill_dir, h.id);
-      block->payload = rtdetail::read_file(src, h.bytes);
-      if (cfg_.preserve) {
-        std::filesystem::rename(
-            src, rtdetail::preserve_path(cfg_.preserve_dir, h.id));
-      } else {
-        std::filesystem::remove(src);
-      }
-    } catch (const std::exception& e) {
-      if (io_error_.empty()) io_error_ = e.what();
-      block->payload.assign(h.bytes, std::byte{0});
-    }
-    out.h = h;
-    out.payload = std::move(block);
-    co_return;
-  }
-
-  sim::Task preserve_open(int) { co_return; }
-
-  sim::Task preserve_write(int c, const ItemT& it) {
-    (void)c;
-    try {
-      rtdetail::write_file(
-          rtdetail::preserve_path(cfg_.preserve_dir, it.h.id),
-          it.payload ? it.payload->payload
-                     : std::vector<std::byte>(it.h.bytes));
+      fn();
     } catch (const std::exception& e) {
       if (io_error_.empty()) io_error_ = e.what();
     }
@@ -312,48 +184,16 @@ class NetEnv {
 
   // ------------------------------------------------------- misc contract ----
 
-  /// One controller interval, cut short by stop_control(); `alive` is false
-  /// once stopped.
-  sim::Task control_tick(sim::Time interval, bool& alive) {
-    if (!stopped_) co_await ex_->sleep_until(ex_->now() + interval, &tick_h_);
-    alive = !stopped_;
-  }
+  /// A stealing consumer's poll interval: a loop timer.
+  auto nap() { return sleep(kStealPoll); }
 
-  sim::Time analysis_cost(std::uint64_t) const noexcept {
-    return static_cast<sim::Time>(cfg_.analysis_ns_per_block);
-  }
-
-  sim::Task idle_recv(exec::EpChannel<ItemT>& buf, std::optional<ItemT>& out) {
-    out = buf.try_recv();
-    if (!out) co_await sleep(kStealPoll);
-  }
-  sim::Task drain_nap() { co_await sleep(kStealPoll); }
-
-  void stop_control() {
-    stopped_ = true;
-    if (tick_h_) ex_->wake_early(std::exchange(tick_h_, {}));
-  }
-
-  void close_transport() {
-    for (auto& n : nets_) {
-      if (!n->closed()) n->close();
-    }
-  }
+  void stop_control() { end_control(); }
 
  private:
-  static constexpr sim::Time kStealPoll = 500 * sim::kMicrosecond;
-
-  exec::EpollExecutor* ex_;
-  NetEnvConfig cfg_;
-  sim::Time et0_ = ex_->now();
   exec::EpMutex wire_m_;
   int wire_fd_ = -1;
   std::string wire_error_;
   std::string io_error_;
-  bool made_spill_dir_ = false;
-  bool stopped_ = false;
-  std::coroutine_handle<> tick_h_;  // control_tick parked in its sleep
-  std::vector<std::unique_ptr<exec::EpChannel<MixedT>>> nets_;
 };
 
 extern template class ZipperBody<NetBinding>;

@@ -340,7 +340,7 @@ sim::Task ZipperdServer::run_session(int fd, FrameDecoder& dec,
   const int Q = static_cast<int>(spec.consumers);
   s.chaos = chaos_from(spec);
 
-  NetEnvConfig ec;
+  LoopEnvConfig ec;
   ec.spill_dir = spec.spill_dir;
   ec.preserve = spec.preserve;
   ec.preserve_dir = opts_.data_dir / ("s" + std::to_string(spec.session_id));
@@ -648,7 +648,7 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
 
   const int P = static_cast<int>(spec.producers);
   const int Q = static_cast<int>(spec.consumers);
-  NetEnvConfig ec;
+  LoopEnvConfig ec;
   ec.spill_dir = sdir;
   NetEnv env(ex, ec, Q);
   env.attach_wire(conn.fd);

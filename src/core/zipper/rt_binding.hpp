@@ -3,59 +3,30 @@
 // application's threads call in through run_inline() and block in the Mt*
 // primitives (core/exec/mt_sync.hpp) only on a full or empty buffer. The
 // network is an in-process channel (throttled by a token bucket whose waits
-// are loop timers), the file system a spill directory of real files. Spans
-// are real [t0, t1] intervals on the loop's monotonic clock, recorded into an
-// optional trace::Recorder behind an env-local lock.
+// are loop timers), the file system a spill directory of real files, written
+// and read on the env's I/O threads so a disk operation never stalls the
+// loop. Spans are real [t0, t1] intervals on the loop's monotonic clock.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <memory>
-#include <mutex>
+#include <exception>
+#include <functional>
 #include <optional>
-#include <span>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/exec/epoll.hpp"
 #include "core/exec/mt_sync.hpp"
-#include "core/exec/virtual_time.hpp"  // exec::NullMutex
 #include "core/zipper/body.hpp"
+#include "core/zipper/loop_env.hpp"
 
 namespace zipper::core::zbody {
 
 class RtEnv;
-
-/// RAII trace span on the monotonic clock; inert when no recorder is set.
-class RtSpan {
- public:
-  RtSpan(trace::Recorder* rec, std::mutex* rec_m, exec::EpollExecutor* ex,
-         int rank, trace::Cat cat)
-      : rec_(rec), rec_m_(rec_m), ex_(ex), rank_(rank), cat_(cat),
-        t0_(rec ? ex->now() : 0) {}
-  RtSpan(const RtSpan&) = delete;
-  RtSpan& operator=(const RtSpan&) = delete;
-  ~RtSpan() {
-    if (!rec_) return;
-    const sim::Time t1 = ex_->now();
-    std::lock_guard lk(*rec_m_);
-    rec_->record(rank_, cat_, t0_, t1);
-  }
-
- private:
-  trace::Recorder* rec_;
-  std::mutex* rec_m_;
-  exec::EpollExecutor* ex_;
-  int rank_;
-  trace::Cat cat_;
-  sim::Time t0_;
-};
 
 struct RtBinding {
   using Task = sim::Task;
@@ -64,86 +35,24 @@ struct RtBinding {
   using Mutex = exec::MtMutex;
   using CondVar = exec::MtCondVar;
   using Latch = exec::MtLatch;
-  /// Only loop coroutines (sender, writer) touch the spilled-ID map.
-  using RawMutex = exec::NullMutex;
   template <typename T>
   using Channel = exec::MtChannel<T>;
   /// Real blocks carry their bytes; shared ownership enforces the Preserve
   /// guarantee (a block is freed only once analyzed *and* persisted).
   using Payload = std::shared_ptr<Block>;
-  using Span = RtSpan;
+  using Span = LoopSpan<RtEnv>;
   using Env = RtEnv;
   /// An application thread may stop calling read() mid-run; drain-mode
   /// stealing takes closed peers' leftovers at any depth.
   static constexpr bool kConsumersMayAbandon = true;
 };
 
-struct RtEnvConfig {
-  std::filesystem::path spill_dir;
-  std::filesystem::path preserve_dir;
-  bool preserve = false;
-  double network_bandwidth = 0.0;  // bytes/s shared by all senders; 0 = off
-  std::size_t net_channel_blocks = 64;
-  std::uint64_t chaos_block_service_ns = 0;
-  trace::Recorder* recorder = nullptr;  // optional real-span sink
-};
-
 namespace rtdetail {
 
-inline std::filesystem::path spill_path(const std::filesystem::path& dir,
-                                        const BlockId& id) {
-  return dir / ("blk_" + id.to_string() + ".bin");
-}
-
-inline std::filesystem::path preserve_path(const std::filesystem::path& dir,
-                                           const BlockId& id) {
-  return dir / ("out_" + id.to_string() + ".bin");
-}
-
-inline void write_file(const std::filesystem::path& p,
-                       std::span<const std::byte> bytes) {
-  std::ofstream f(p, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    throw std::runtime_error("Zipper: cannot open spill file " + p.string());
-  }
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!f) throw std::runtime_error("Zipper: short write to " + p.string());
-}
-
-inline std::vector<std::byte> read_file(const std::filesystem::path& p,
-                                        std::uint64_t expected) {
-  std::ifstream f(p, std::ios::binary);
-  if (!f) {
-    throw std::runtime_error("Zipper: cannot open spill file " + p.string());
-  }
-  std::vector<std::byte> out(expected);
-  f.read(reinterpret_cast<char*>(out.data()),
-         static_cast<std::streamsize>(expected));
-  if (static_cast<std::uint64_t>(f.gcount()) != expected) {
-    throw std::runtime_error("Zipper: short read from " + p.string());
-  }
-  return out;
-}
-
-/// Shared-rate limiter standing in for the HPC network's finite bandwidth.
-/// Loop-only: every sender runs on the one loop, so no lock is needed.
-class TokenBucket {
- public:
-  explicit TokenBucket(double bytes_per_second) : rate_(bytes_per_second) {}
-
-  /// Books `bytes` on the link; returns when (executor ns) they have left
-  /// it, or 0 when unthrottled.
-  sim::Time reserve(sim::Time now, std::uint64_t bytes) {
-    if (rate_ <= 0) return 0;
-    next_free_ = std::max(next_free_, now) +
-                 static_cast<sim::Time>(static_cast<double>(bytes) / rate_ * 1e9);
-    return next_free_;
-  }
-
- private:
-  double rate_;
-  sim::Time next_free_ = 0;
+/// Base-from-member: the loop RtEnv owns exists before LoopEnv is built
+/// on it.
+struct OwnedLoop {
+  exec::EpollExecutor loop;
 };
 
 }  // namespace rtdetail
@@ -152,179 +61,109 @@ class TokenBucket {
 /// (the "low-latency HPC network"), a spill directory (the "parallel file
 /// system"), loop timers for the throttle and chaos service inflation. Owns
 /// the loop and its thread: spawn the services, then start().
-class RtEnv {
+class RtEnv : private rtdetail::OwnedLoop, public LoopEnv<RtBinding> {
  public:
-  using ItemT = Item<RtBinding>;
-  using MixedT = Mixed<RtBinding>;
-
-  RtEnv(RtEnvConfig cfg, int num_consumers)
-      : cfg_(std::move(cfg)), net_bw_(cfg_.network_bandwidth), stop_(ex_, 1) {
-    ex_.enable_post();
-    nets_.reserve(static_cast<std::size_t>(num_consumers));
-    for (int c = 0; c < num_consumers; ++c) {
-      nets_.push_back(std::make_unique<exec::MtChannel<MixedT>>(
-          ex_, cfg_.net_channel_blocks));
-    }
+  RtEnv(LoopEnvConfig cfg, int num_consumers)
+      : LoopEnv(loop, std::move(cfg), num_consumers),
+        stop_(loop, 1), io_jobs_(loop) {
+    loop.enable_post();
   }
   ~RtEnv() { join(); }
 
-  /// Starts the loop thread; it runs until every spawned service finished.
+  /// Starts the loop thread; it runs until every spawned service finished
+  /// and stop_control() was called.
   void start() {
-    loop_ = std::thread([this] { ex_.run(); });
+    spawn(watch_stop());
+    loop_thread_ = std::thread([this] { loop.run(); });
   }
-  /// Waits for the loop thread. Every service must be unblockable by now
-  /// (its channels closed, its producer finalized, control stopped).
+  /// Waits for the loop thread, then for the I/O threads. Every service must
+  /// be unblockable by now (its channels closed, its producer finalized,
+  /// control stopped).
   void join() {
-    if (loop_.joinable()) loop_.join();
+    if (loop_thread_.joinable()) loop_thread_.join();
+    io_jobs_.close();
+    for (std::thread& t : io_threads_) t.join();
+    io_threads_.clear();
   }
 
-  exec::EpollExecutor& prim() noexcept { return ex_; }
-  sim::Time now() const noexcept { return ex_.now(); }
-  /// Chaos/controller clock: seconds since runtime construction (the fault
-  /// windows' origin, like the old chaos_t0).
-  double now_s() const noexcept { return sim::to_seconds(ex_.now()); }
-  /// Before start() from the constructing thread, after it from the loop.
-  void spawn(sim::Task t) { ex_.spawn(std::move(t)); }
-  /// A loop timer: only loop coroutines sleep through it.
-  auto sleep(sim::Time d) { return ex_.sleep_until(ex_.now() + d); }
-
-  RtSpan span(int rank, trace::Cat cat) {
-    return RtSpan(cfg_.recorder, &rec_m_, &ex_, rank, cat);
-  }
-  void record_span(int rank, trace::Cat cat, sim::Time t0, sim::Time t1) {
-    if (!cfg_.recorder) return;
-    std::lock_guard lk(rec_m_);
-    cfg_.recorder->record(rank, cat, t0, t1);
-  }
-
-  void charge_backoff_wait(int, sim::Time) noexcept {}
-
-  sim::Task send_mixed(int p, int c, MixedT msg) {
-    (void)p;
-    if (const sim::Time t = net_bw_.reserve(ex_.now(), msg.item.h.bytes)) {
-      co_await ex_.sleep_until(t);
+  /// Under a network_bandwidth, a block leaves the shared link (a loop
+  /// timer) once every block booked on it before has.
+  sim::Task send_mixed(int, int c, MixedT msg) {
+    if (const double rate = cfg_.network_bandwidth; rate > 0) {
+      link_free_ = std::max(link_free_, now()) +
+                   static_cast<sim::Time>(
+                       static_cast<double>(msg.item.h.bytes) / rate * 1e9);
+      co_await loop.sleep_until(link_free_);
     }
     co_await nets_[static_cast<std::size_t>(c)]->send(std::move(msg));
   }
 
-  sim::Task send_done(int p, int c, MixedT msg) {
-    (void)p;
+  sim::Task send_done(int, int c, MixedT msg) {
     co_await nets_[static_cast<std::size_t>(c)]->send(std::move(msg));
   }
 
-  sim::Task recv_mixed(int c, std::optional<MixedT>& out) {
-    out = co_await nets_[static_cast<std::size_t>(c)]->recv();
-  }
-
-  /// Straggler / fault injection: a chaos-slowed consumer serves each
-  /// received block that much extra service time, for real (a loop timer).
-  sim::Task receive_block(int c, std::uint64_t bytes, int producer,
-                          double slow) {
-    (void)c;
-    (void)bytes;
-    (void)producer;
-    if (cfg_.chaos_block_service_ns > 0 && slow > 1.0) {
-      co_await sleep(static_cast<sim::Time>(
-          static_cast<double>(cfg_.chaos_block_service_ns) * (slow - 1.0)));
+  /// Runs a blocking file operation on an I/O thread (started by the first
+  /// one), so the loop's other coroutines, the senders above all, keep
+  /// running meanwhile. Rethrows what `fn` threw.
+  sim::Task file_io(std::function<void()> fn) {
+    if (io_threads_.empty()) {
+      for (int i = 0; i < kIoThreads; ++i) {
+        io_threads_.emplace_back([this] { io_main(); });
+      }
     }
+    exec::MtLatch done(loop, 1);
+    std::exception_ptr error;
+    co_await io_jobs_.send([&] {
+      try {
+        fn();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      done.count_down();
+    });
+    co_await done.wait();
+    if (error) std::rethrow_exception(error);
   }
 
-  sim::Task spill_write(int p, const ItemT& it) {
-    (void)p;
-    rtdetail::write_file(rtdetail::spill_path(cfg_.spill_dir, it.h.id),
-                         it.payload->payload);
-    co_return;
-  }
-
-  sim::Task fetch_spill(int c, const BlockHeader& h, ItemT& out) {
-    (void)c;
-    auto block = std::make_shared<Block>();
-    block->header = h;
-    const std::filesystem::path src = rtdetail::spill_path(cfg_.spill_dir, h.id);
-    block->payload = rtdetail::read_file(src, h.bytes);
-    if (cfg_.preserve) {
-      // Already on disk: the spill file simply moves to its final home (the
-      // output service skips on_disk blocks).
-      std::filesystem::rename(src,
-                              rtdetail::preserve_path(cfg_.preserve_dir, h.id));
-    } else {
-      std::filesystem::remove(src);
-    }
-    out.h = h;
-    out.payload = std::move(block);
-    co_return;
-  }
-
-  sim::Task preserve_open(int) { co_return; }
-
-  sim::Task preserve_write(int c, const ItemT& it) {
-    (void)c;
-    rtdetail::write_file(rtdetail::preserve_path(cfg_.preserve_dir, it.h.id),
-                         it.payload->payload);
-    co_return;
-  }
-
-  /// One controller interval on a loop timer, cut short by stop_control();
-  /// `alive` is false once stopped.
-  sim::Task control_tick(sim::Time interval, bool& alive) {
-    if (!watching_stop_) {
-      watching_stop_ = true;
-      ex_.spawn(watch_stop());
-    }
-    if (!stopped_) co_await ex_.sleep_until(ex_.now() + interval, &tick_h_);
-    alive = !stopped_;
-  }
-
-  sim::Time analysis_cost(std::uint64_t) const noexcept { return 0; }
-
-  // consumer_next runs on the application thread inside read(), so the
-  // stealing polls below sleep that thread, never the loop.
-
-  /// One look at the own buffer between steal probes.
-  sim::Task idle_recv(exec::MtChannel<ItemT>& buf, std::optional<ItemT>& out) {
-    out = buf.try_recv();
-    if (!out) std::this_thread::sleep_for(std::chrono::nanoseconds(kStealPoll));
-    co_return;
-  }
-  sim::Task drain_nap() {
+  /// A stealing consumer's poll interval. consumer_next runs on the
+  /// application thread inside read(), so this sleeps that thread, never
+  /// the loop.
+  sim::Task nap() {
     std::this_thread::sleep_for(std::chrono::nanoseconds(kStealPoll));
     co_return;
   }
 
-  /// Thread-safe; the first call ends the control loop.
+  /// Thread-safe; the first call ends the control loop (control_tick).
   void stop_control() {
     if (!stop_requested_.exchange(true)) stop_.count_down();
   }
 
-  /// Emergency teardown: unblocks receivers (and senders parked on a full
-  /// net channel) so every service can finish and the loop thread exit.
-  void close_transport() {
-    for (auto& n : nets_) n->close();
-  }
-
  private:
-  static constexpr sim::Time kStealPoll = 500 * sim::kMicrosecond;
+  /// Two, so a spill write and a spill read or Preserve write overlap. On a
+  /// spilling 2-to-1 run, one I/O thread reached ~75% of the blocks/s of a
+  /// thread per file-touching service; two and four reached all of it.
+  static constexpr int kIoThreads = 2;
 
-  /// Loop-side half of stop_control(): wake_early is loop-only, so a root
-  /// on the loop waits for the cross-thread latch and ends the tick.
+  /// Loop-side half of stop_control(): a root on the loop waits for the
+  /// cross-thread latch and ends the tick there.
   sim::Task watch_stop() {
     co_await stop_.wait();
-    stopped_ = true;
-    if (tick_h_) ex_.wake_early(std::exchange(tick_h_, {}));
+    end_control();
   }
 
-  RtEnvConfig cfg_;
-  exec::EpollExecutor ex_;
-  rtdetail::TokenBucket net_bw_;
-  std::vector<std::unique_ptr<exec::MtChannel<MixedT>>> nets_;
-  std::mutex rec_m_;
+  /// An I/O thread: runs file_io() jobs until join() closes the queue.
+  void io_main() {
+    std::optional<std::function<void()>> job;
+    auto next = [&]() -> sim::Task { job = co_await io_jobs_.recv(); };
+    for (exec::run_inline(next()); job; exec::run_inline(next())) (*job)();
+  }
+
+  sim::Time link_free_ = 0;  // loop-only: every sender runs on the loop
   exec::MtLatch stop_;  // counted down once by stop_control()
   std::atomic<bool> stop_requested_{false};
-  // Loop-only control state.
-  bool watching_stop_ = false;
-  bool stopped_ = false;
-  std::coroutine_handle<> tick_h_;  // control_tick parked in its sleep
-  std::thread loop_;
+  exec::MtChannel<std::function<void()>> io_jobs_;
+  std::vector<std::thread> io_threads_;  // started by the first file_io()
+  std::thread loop_thread_;
 };
 
 extern template class ZipperBody<RtBinding>;

@@ -35,7 +35,6 @@ struct VtBinding {
   using Mutex = sim::SimMutex;
   using CondVar = sim::SimCondVar;
   using Latch = sim::Latch;
-  using RawMutex = exec::NullMutex;
   template <typename T>
   using Channel = sim::Channel<T>;
   /// Virtual blocks carry no bytes — headers fully describe the transfer.

@@ -1,7 +1,8 @@
 // Tests for the real (threaded) Zipper runtime: end-to-end delivery and
 // integrity over both channels, work-stealing behaviour, Preserve mode
-// durability, termination, stress; and the cross-thread wake paths between
-// its one loop thread and the application's threads.
+// durability, termination, stress; the cross-thread wake paths between its
+// one loop thread and the application's threads; and file operations kept
+// off that loop.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,6 +21,7 @@
 #include "core/exec/epoll.hpp"
 #include "core/exec/mt_sync.hpp"
 #include "core/rt/runtime.hpp"
+#include "core/zipper/rt_binding.hpp"
 #include "trace/timeline.hpp"
 
 namespace fs = std::filesystem;
@@ -608,4 +610,28 @@ TEST(RtLoopWake, AppThreadBlockedOnAFullChannelIsReleasedByTheLoop) {
   t.join();
   ASSERT_EQ(got.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+}
+
+TEST(RtEnv, BlockingFileOperationLeavesTheLoopRunning) {
+  // file_io() blocks an I/O thread, not the loop: the operation below waits
+  // for a flag that only another loop coroutine, woken by a timer, sets. Run
+  // on the loop, it would wait out its 5 s limit and see no flag.
+  zbody::RtEnv env(zbody::LoopEnvConfig{}, 1);
+  std::atomic<bool> flag{false};
+  bool saw_flag = false;
+  env.spawn([](zbody::RtEnv& e, std::atomic<bool>& f,
+               bool& saw) -> zipper::sim::Task {
+    co_await e.file_io([&f] {
+      eventually([&f] { return f.load(); }, std::chrono::milliseconds(5000));
+    });
+    saw = f.load();
+  }(env, flag, saw_flag));
+  env.spawn([](zbody::RtEnv& e, std::atomic<bool>& f) -> zipper::sim::Task {
+    co_await e.sleep(zipper::sim::kMillisecond);
+    f.store(true);
+  }(env, flag));
+  env.start();
+  env.stop_control();
+  env.join();
+  EXPECT_TRUE(saw_flag);
 }

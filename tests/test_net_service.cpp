@@ -742,7 +742,7 @@ TEST(NetBinding, ScatterGatherFramesSurviveATinySendBuffer) {
       << "send buffer too large to force short writes";
 
   exec::EpollExecutor ex;
-  core::zbody::NetEnv env(ex, core::zbody::NetEnvConfig{}, 1);
+  core::zbody::NetEnv env(ex, core::zbody::LoopEnvConfig{}, 1);
   env.attach_wire(sv[0]);
   for (const znet::WireMixed& m : ms) {
     ex.spawn(env.write_frame(znet::encode_mixed_head(m, m.payload), m.payload));
