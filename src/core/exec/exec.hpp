@@ -5,9 +5,8 @@
 //
 //   * VirtualTimeExecutor (virtual_time.hpp) adapts the deterministic DES
 //     kernel (sim::Simulation's two-tier bucketed queue). Awaitables are the
-//     existing sim primitives, so the body expands to the same (time, seq)
-//     event sequence the pre-refactor SimZipper produced — the golden-digest
-//     byte-identity oracle pins this down.
+//     sim primitives, so a run is one deterministic (time, seq) event
+//     sequence — the golden-digest byte-identity oracle pins it down.
 //   * EpollExecutor (epoll.hpp) is a real-time event loop on one thread with
 //     a monotonic clock. Its awaitables genuinely suspend: a parked coroutine
 //     costs a handle on a waitlist, not a thread. Two bindings run on it:
@@ -57,10 +56,10 @@ struct RankStats {
   std::uint64_t wait_ns = 0;  // blocked waiting for the next block
 };
 
-/// Whole-instance aggregate counters, identical in name and meaning to the
-/// historical SimZipperStats (core/dsim aliases this struct, so the workflow
-/// metric formulas are untouched). Times are on the binding's clock:
-/// simulated ns under virtual time, monotonic ns in real time.
+/// Whole-instance aggregate counters of one ZipperBody, the input of the
+/// workflow metric formulas (workflow::zipper_metrics). Times are on the
+/// binding's clock: simulated ns under virtual time, monotonic ns in real
+/// time.
 struct AggregateStats {
   sim::Time producer_stall = 0;  // put blocked on a full buffer
   sim::Time sender_busy = 0;     // data-transfer time on sender tasks

@@ -1,7 +1,11 @@
 #include "core/rt/runtime.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cassert>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "core/exec/mt_sync.hpp"
@@ -59,15 +63,31 @@ ConsumerStats ConsumerEndpoint::stats() const {
 
 // ------------------------------------------------------------------ runtime --
 
+namespace {
+
+/// A directory under the system temp dir that no other Runtime, in this
+/// process or another, resolves to: spill and preserve files are named by
+/// BlockId alone, so Runtimes sharing a directory would read (and delete)
+/// each other's blocks.
+fs::path private_temp_dir(const char* stem) {
+  static std::atomic<unsigned> next{0};
+  return fs::temp_directory_path() /
+         (std::string(stem) + "_" + std::to_string(::getpid()) + "_" +
+          std::to_string(next.fetch_add(1, std::memory_order_relaxed)));
+}
+
+}  // namespace
+
 Runtime::Runtime(int num_producers, int num_consumers, Config config)
     : config_(std::move(config)) {
   assert(num_producers > 0 && num_consumers > 0);
   if (config_.spill_dir.empty()) {
-    config_.spill_dir = fs::temp_directory_path() / "zipper_spill";
+    config_.spill_dir = private_temp_dir("zipper_spill");
+    owns_spill_dir_ = true;
   }
   if (config_.mode == Mode::kPreserve) {
     if (config_.preserve_dir.empty()) {
-      config_.preserve_dir = fs::temp_directory_path() / "zipper_preserve";
+      config_.preserve_dir = private_temp_dir("zipper_preserve");
     }
     fs::create_directories(config_.preserve_dir);
   }
@@ -94,17 +114,18 @@ Runtime::Runtime(int num_producers, int num_consumers, Config config)
   bc.preserve = config_.mode == Mode::kPreserve;
   bc.consumer_buffer_blocks = static_cast<int>(config_.consumer_buffer_blocks);
   bc.sched = config_.sched;
-  bc.step_bytes = 0;  // the application chooses its own write() sizes
-  // Trace-rank convention: producers are ranks 0..P-1, consumers P..P+Q-1.
-  bc.first_producer_rank = 0;
-  bc.first_consumer_rank = num_producers;
   bc.chaos = chaos_;
   bc.max_put_retries = config_.max_put_retries;
   bc.put_retry_backoff = config_.put_retry_backoff;
   bc.controller = config_.controller;
   bc.control_interval = config_.control_interval;
+  // Trace-rank convention: producers are ranks 0..P-1, consumers P..P+Q-1;
+  // the application chooses its own write() sizes (no step split).
   body_ = std::make_unique<zbody::ZipperBody<zbody::RtBinding>>(
-      *env_, std::move(bc), num_producers, num_consumers);
+      *env_, std::move(bc),
+      zbody::Placement{.producers = num_producers,
+                       .consumers = num_consumers,
+                       .first_consumer_rank = num_producers});
 
   consumers_.resize(static_cast<std::size_t>(num_consumers));
   for (int c = 0; c < num_consumers; ++c) {
@@ -151,6 +172,10 @@ Runtime::~Runtime() {
   // thread while the body the coroutines reference is still alive.
   body_->emergency_close_consumers();
   env_->join();
+  if (owns_spill_dir_) {
+    std::error_code ec;
+    fs::remove_all(config_.spill_dir, ec);
+  }
 }
 
 }  // namespace zipper::core::rt

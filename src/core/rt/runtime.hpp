@@ -63,8 +63,12 @@ struct Config {
   double high_water = 0.5;
   bool enable_steal = true;  // dual-channel (message + file) transfer
   Mode mode = Mode::kNoPreserve;
-  std::filesystem::path spill_dir;     // stands in for the parallel file system
-  std::filesystem::path preserve_dir;  // Preserve-mode output location
+  /// Stands in for the parallel file system. Empty: a directory of this
+  /// Runtime's own under the system temp dir, removed with the Runtime.
+  std::filesystem::path spill_dir;
+  /// Preserve-mode output location. Empty: a directory of this Runtime's own
+  /// under the system temp dir (config() names it), kept after the Runtime.
+  std::filesystem::path preserve_dir;
   /// Simulated network bandwidth in bytes/s shared by all sender threads;
   /// 0 = unthrottled. Lets single-machine demos reproduce producer stalls.
   double network_bandwidth = 0.0;
@@ -190,6 +194,7 @@ class Runtime {
   friend class ConsumerEndpoint;
 
   Config config_;
+  bool owns_spill_dir_ = false;  // named by the runtime, removed with it
   std::shared_ptr<const chaos::ChaosEngine> chaos_;
   std::unique_ptr<zbody::RtEnv> env_;
   std::unique_ptr<zbody::ZipperBody<zbody::RtBinding>> body_;

@@ -1,10 +1,9 @@
-// The pluggable scheduling layer shared by both Zipper runtimes.
+// The pluggable scheduling layer of the Zipper runtime.
 //
-// Every scheduling decision the runtimes make is factored into one of three
-// policies, written once here and consulted by core/rt (threads) and
-// core/dsim (coroutines) alike — extending the "written once, tested once"
-// contract of core/policy.hpp from the Algorithm-1 constants to the whole
-// schedule:
+// Every scheduling decision the runtime makes is factored into one of three
+// policies, written once here and consulted by the one ZipperBody on every
+// executor — extending the "written once, tested once" contract of
+// core/policy.hpp from the Algorithm-1 constants to the whole schedule:
 //
 //   * RoutePolicy  — which consumer analyzes a block. kStatic is the paper's
 //     contiguous `consumer_of` map; kRoundRobin spreads a producer's blocks
@@ -65,8 +64,8 @@ std::optional<SpillKind> parse_spill(const std::string& token);
 std::optional<BlockSizeKind> parse_block_size(const std::string& token);
 
 /// Policy selection plus the knobs the non-default policies need. The
-/// high-water fraction and the spill on/off switch stay in the runtime
-/// configs (SimZipperConfig / rt::Config) they always lived in.
+/// high-water fraction and the spill on/off switch live next to it in
+/// zbody::BodyConfig (and rt::Config).
 struct SchedConfig {
   RouteKind route = RouteKind::kStatic;
   SpillKind spill = SpillKind::kHighWater;
@@ -81,9 +80,9 @@ struct SchedConfig {
   int block_size_max_multiple = 8;       // kAdaptive sizer ceiling, x base size
 };
 
-/// Per-runtime-instance shared state the policies consult. One per
-/// SimZipper / rt::Runtime; both runtimes update it at the same protocol
-/// points (route time, analysis time, producer stall).
+/// Per-body-instance shared state the policies consult. One per ZipperBody,
+/// updated at the same protocol points on every executor (route time,
+/// analysis time, producer stall).
 class SchedContext {
  public:
   SchedContext(int num_producers, int num_consumers);

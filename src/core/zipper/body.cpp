@@ -1,7 +1,8 @@
 // The single translation unit every executor consults: explicit
 // instantiations of the unified zipper body over the virtual-time, threaded,
-// and network bindings. core/dsim, core/rt, and the zipperd service layer
-// link against these — none carries application logic of its own.
+// and network bindings. workflow::PipelineCoupling, core/rt, and the zipperd
+// service layer link against these — none carries application logic of its
+// own.
 #include "core/zipper/body_impl.hpp"
 
 #include "core/zipper/net_binding.hpp"

@@ -7,10 +7,10 @@
 // stealing, and the online AdaptiveController loop — lives in this one
 // class template, parameterized only by an executor binding (core/exec).
 //
-//   ZipperBody<VtBinding>  runs on the deterministic DES kernel and expands
-//                          to the same (time, seq) event sequence as the
-//                          historical core/dsim implementation (the golden
-//                          figure digests pin this byte-for-byte);
+//   ZipperBody<VtBinding>  runs on the deterministic DES kernel, one
+//                          instance per pipeline edge owned by
+//                          workflow::PipelineCoupling (the golden figure
+//                          digests pin its event schedule byte-for-byte);
 //   ZipperBody<RtBinding>  runs its services as coroutines on one
 //                          EpollExecutor loop, with thread-safe channels the
 //                          application's threads block on, real spill files
@@ -18,7 +18,8 @@
 //   ZipperBody<NetBinding> runs on the same loop over real sockets (zipperd).
 //
 // core/sched and core/chaos are consulted from here and only here; the
-// facades (core/dsim/SimZipper, core/rt/Runtime) contain no policy.
+// code that builds an instance (PipelineCoupling, rt::Runtime, the zipperd
+// session layer) contains no policy.
 //
 // The template is explicitly instantiated in body.cpp — the single
 // translation unit both executors consult (the binding headers declare the
@@ -51,42 +52,62 @@ namespace zipper::core::zbody {
 inline constexpr int kZipperTag = 7000;
 inline constexpr int kZipperAckTag = 7001;
 
-/// Executor-independent knobs. Transport costs (bandwidths, credit window),
-/// file naming and directories are binding-environment concerns and live in
-/// the respective Env types.
+/// Executor-independent knobs, declared once for every executor. Transport
+/// costs (the virtual-time rates and credit window) and directories are
+/// binding-environment concerns: VtConfig extends this struct with them, the
+/// real-time bindings take theirs in LoopEnvConfig.
 struct BodyConfig {
   std::uint64_t block_bytes = 1 << 20;
   int producer_buffer_blocks = 32;
+  /// Spill threshold (fraction of the producer buffer) and the dual channel's
+  /// on/off switch, whichever SpillPolicy `sched` selects.
   double high_water = 0.5;
-  bool enable_steal = true;
+  bool enable_steal = true;  // concurrent message+file transfer optimization
   bool preserve = false;
   int consumer_buffer_blocks = 256;
+  /// Routing, spill rule, block sizing and consumer-side stealing; the
+  /// defaults reproduce the paper's schedule decision for decision.
   sched::SchedConfig sched;
 
-  /// Bytes one producer emits per workload step (drives the step-put split;
-  /// 0 under the threaded runtime, whose application chooses write() sizes).
-  std::uint64_t step_bytes = 0;
-
-  /// Trace/world rank of producer 0 and consumer 0.
-  int first_producer_rank = 0;
-  int first_consumer_rank = 0;
-
-  /// Chaos oracle; consulted only from this body.
+  /// Chaos oracle; consulted only from this body. Consumer-side service times
+  /// scale by its straggler/fault multipliers, and a put routed to a consumer
+  /// inside a fault window times out, backs off exponentially from
+  /// put_retry_backoff up to max_put_retries times, then degrades the block
+  /// to the file channel. Null by default: the schedule is unchanged.
   std::shared_ptr<const chaos::ChaosEngine> chaos;
   int max_put_retries = 3;
   sim::Time put_retry_backoff = 20 * sim::kMillisecond;
 
-  /// Online re-tuning controller + its snapshot interval.
+  /// Online re-tuning: every control_interval the body snapshots its
+  /// streaming counters and applies the returned knob changes live. A
+  /// controller switches end-of-stream bookkeeping to the unpinned protocol,
+  /// so the route may change mid-run.
   std::function<chaos::ControlAction(const chaos::ControlSnapshot&)> controller;
   sim::Time control_interval = 250 * sim::kMillisecond;
+
+  /// Test/diagnostic hooks, called synchronously (in deterministic DES order
+  /// under virtual time): right before consumer c analyzes a block, stolen
+  /// ones included, and right after the analysis finished (the point where
+  /// a downstream pipeline stage may pick the result up).
+  std::function<void(int c, const BlockHeader&)> on_analyzed;
+  std::function<void(int c, const BlockHeader&)> on_output;
+};
+
+/// Where one body instance sits. Whoever builds the instance derives these
+/// from its layout; they are never user knobs.
+struct Placement {
+  int producers = 1;
+  int consumers = 1;
+  /// Trace/world rank of producer 0 and consumer 0.
+  int first_producer_rank = 0;
+  int first_consumer_rank = 0;
+  /// Bytes one producer emits per workload step (drives the step-put split;
+  /// 0 where the application chooses its own write() sizes).
+  std::uint64_t step_bytes = 0;
   /// The producers run a controller in another process (a net daemon's
   /// body): end-of-stream bookkeeping uses the unpinned protocol a local
   /// controller would, so every consumer hears from every producer.
   bool peer_live_control = false;
-
-  /// Test/diagnostic hooks (deterministic DES order under virtual time).
-  std::function<void(int c, const BlockHeader&)> on_analyzed;
-  std::function<void(int c, const BlockHeader&)> on_output;
 };
 
 /// One block inside the body: its self-describing header plus whatever the
@@ -122,8 +143,9 @@ struct AtomicAggregate {
       bytes_via_pfs{0}, put_retries{0}, blocks_spilled_slow{0},
       control_actions{0};
 
-  void snapshot(exec::AggregateStats& out) const {
+  exec::AggregateStats snapshot() const {
     const auto r = std::memory_order_relaxed;
+    exec::AggregateStats out;
     out.producer_stall = producer_stall.load(r);
     out.sender_busy = sender_busy.load(r);
     out.writer_busy = writer_busy.load(r);
@@ -138,6 +160,7 @@ struct AtomicAggregate {
     out.put_retries = put_retries.load(r);
     out.blocks_spilled_slow = blocks_spilled_slow.load(r);
     out.control_actions = control_actions.load(r);
+    return out;
   }
 };
 
@@ -175,12 +198,12 @@ class ZipperBody {
   using ItemT = Item<B>;
   using MixedT = Mixed<B>;
 
-  ZipperBody(Env& env, BodyConfig cfg, int num_producers, int num_consumers);
+  ZipperBody(Env& env, BodyConfig cfg, const Placement& at);
   ~ZipperBody();
   ZipperBody(const ZipperBody&) = delete;
   ZipperBody& operator=(const ZipperBody&) = delete;
 
-  // -- service spawning (the facades decide when) ---------------------------
+  // -- service spawning (the owner decides when) ----------------------------
   void spawn_producer_services(int p);
   void spawn_consumer_services(int c);
   void spawn_control();
@@ -191,7 +214,11 @@ class ZipperBody {
   Task put_header(int p, ItemT it);
   /// Whole-step put: consults the BlockSizer once, splits, pushes.
   Task producer_put(int p, int step);
-  /// Fine-grain put of one block of a step (see SimZipper::producer_put_block).
+  /// Fine-grain put of a single block of a step (block-granular workloads,
+  /// where production interleaves with compute). With num_blocks ==
+  /// blocks_per_step() the step splits into config-sized blocks with the
+  /// remainder in the last one; any other count splits the step's bytes
+  /// evenly across num_blocks blocks.
   Task producer_put_block(int p, int step, int block, int num_blocks);
   /// End-of-stream: the sender drains, joins the writer, flushes done msgs.
   Task producer_finalize(int p);
@@ -222,7 +249,7 @@ class ZipperBody {
   Task wait_control_done();
 
   // -- observability --------------------------------------------------------
-  void aggregate_into(exec::AggregateStats& out) const { agg_.snapshot(out); }
+  exec::AggregateStats aggregate() const { return agg_.snapshot(); }
   exec::RankStats producer_stats(int p) const {
     return prank_stats_[static_cast<std::size_t>(p)].snapshot();
   }
@@ -230,8 +257,8 @@ class ZipperBody {
     return crank_stats_[static_cast<std::size_t>(c)].snapshot();
   }
   int blocks_per_step() const noexcept { return blocks_per_step_; }
-  int producers() const noexcept { return P_; }
-  int consumers() const noexcept { return Q_; }
+  int producers() const noexcept { return at_.producers; }
+  int consumers() const noexcept { return at_.consumers; }
 
  private:
   struct Producer;
@@ -256,15 +283,15 @@ class ZipperBody {
     return consumer_steal_.load(std::memory_order_relaxed);
   }
 
-  int producer_rank(int p) const noexcept { return cfg_.first_producer_rank + p; }
-  int consumer_rank(int c) const noexcept { return cfg_.first_consumer_rank + c; }
+  int producer_rank(int p) const noexcept { return at_.first_producer_rank + p; }
+  int consumer_rank(int c) const noexcept { return at_.first_consumer_rank + c; }
 
   static std::vector<BlockHeader> take_spilled(Producer& pm, int c);
   static void add_spilled(Producer& pm, int c, const BlockHeader& h);
 
   Env* env_;
   BodyConfig cfg_;
-  int P_, Q_;
+  Placement at_;
   int blocks_per_step_;
   sched::SchedContext ctx_;
   sched::RoutePolicy route_;

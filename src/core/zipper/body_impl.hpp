@@ -2,10 +2,8 @@
 // instantiation translation unit) — application code includes body.hpp plus
 // a binding header and links against the prebuilt instantiations.
 //
-// The operation sequences here are a transliteration of the historical
-// core/dsim runtime: under the virtual-time binding every co_await expands to
-// the same awaiter chain at the same point in the event schedule, which the
-// golden figure digests verify byte-for-byte. When editing, keep the order of
+// Under the virtual-time binding every co_await here is one step of the DES
+// event schedule, which the golden figure digests pin byte-for-byte. When editing, keep the order of
 // scheduling operations (lock/wait/notify/channel/env calls) intact; counter
 // updates are schedule-neutral and may move freely between them.
 #pragma once
@@ -58,15 +56,16 @@ struct ZipperBody<B>::Consumer {
 // ------------------------------------------------------------- construction --
 
 template <class B>
-ZipperBody<B>::ZipperBody(Env& env, BodyConfig cfg, int num_producers,
-                          int num_consumers)
-    : env_(&env), cfg_(std::move(cfg)), P_(num_producers), Q_(num_consumers),
+ZipperBody<B>::ZipperBody(Env& env, BodyConfig cfg, const Placement& at)
+    : env_(&env), cfg_(std::move(cfg)), at_(at),
       blocks_per_step_(static_cast<int>(
-          (cfg_.step_bytes + cfg_.block_bytes - 1) / cfg_.block_bytes)),
-      ctx_(num_producers, num_consumers),
-      route_(cfg_.sched, num_producers, num_consumers),
-      prank_stats_(new detail::AtomicRankStats[static_cast<std::size_t>(P_)]),
-      crank_stats_(new detail::AtomicRankStats[static_cast<std::size_t>(Q_)]),
+          (at.step_bytes + cfg_.block_bytes - 1) / cfg_.block_bytes)),
+      ctx_(at.producers, at.consumers),
+      route_(cfg_.sched, at.producers, at.consumers),
+      prank_stats_(
+          new detail::AtomicRankStats[static_cast<std::size_t>(at.producers)]),
+      crank_stats_(
+          new detail::AtomicRankStats[static_cast<std::size_t>(at.consumers)]),
       live_control_(static_cast<bool>(cfg_.controller)),
       spill_on_(cfg_.enable_steal),
       consumer_steal_(cfg_.sched.consumer_steal),
@@ -77,18 +76,18 @@ ZipperBody<B>::ZipperBody(Env& env, BodyConfig cfg, int num_producers,
   // with spilling off; spill_on_ gates them until then.
   const StealPolicy base{static_cast<std::size_t>(cfg_.producer_buffer_blocks),
                          cfg_.high_water, cfg_.enable_steal || live_control_};
-  for (int p = 0; p < P_; ++p) {
+  for (int p = 0; p < at_.producers; ++p) {
     producers_.push_back(std::make_unique<Producer>(env_->prim(), cfg_.sched,
                                                     base, cfg_.block_bytes));
   }
-  for (int c = 0; c < Q_; ++c) {
+  for (int c = 0; c < at_.consumers; ++c) {
     auto cons = std::make_unique<Consumer>(env_->prim(),
                                            cfg_.consumer_buffer_blocks,
                                            2 + (cfg_.preserve ? 1 : 0));
     // A controller may re-route mid-run, so end-of-stream bookkeeping must
     // use the unpinned protocol: every consumer hears from every producer.
-    cons->expected_producers = live_control_ || cfg_.peer_live_control
-                                   ? P_
+    cons->expected_producers = live_control_ || at_.peer_live_control
+                                   ? at_.producers
                                    : route_.expected_producers(c);
     consumers_.push_back(std::move(cons));
   }
@@ -127,7 +126,8 @@ int ZipperBody<B>::route_for(const BlockId& id) const {
   if (!live_control_) return route_.consumer_for(id, ctx_);
   sched::SchedConfig sc = cfg_.sched;
   sc.route = route_kind_.load(std::memory_order_relaxed);
-  return sched::RoutePolicy(sc, P_, Q_).consumer_for(id, ctx_);
+  return sched::RoutePolicy(sc, at_.producers, at_.consumers)
+      .consumer_for(id, ctx_);
 }
 
 template <class B>
@@ -181,14 +181,14 @@ typename B::Task ZipperBody<B>::producer_put_block(int p, int step, int b,
     // The runtime's own split: config-sized blocks, remainder in the last.
     h.offset = static_cast<std::uint64_t>(b) * cfg_.block_bytes;
     h.bytes = (b == num_blocks - 1)
-                  ? cfg_.step_bytes -
+                  ? at_.step_bytes -
                         static_cast<std::uint64_t>(num_blocks - 1) * cfg_.block_bytes
                   : cfg_.block_bytes;
   } else {
     // Caller-chosen granularity: proportional split total*k/n boundaries,
     // which balances to within one byte and cannot underflow the remainder
     // however num_blocks relates to the step's bytes.
-    const std::uint64_t total = cfg_.step_bytes;
+    const std::uint64_t total = at_.step_bytes;
     const std::uint64_t nb = static_cast<std::uint64_t>(num_blocks);
     const std::uint64_t i = static_cast<std::uint64_t>(b);
     h.offset = total * i / nb;
@@ -206,13 +206,13 @@ typename B::Task ZipperBody<B>::producer_put(int p, int step) {
   const std::uint64_t live = live_block_bytes_.load(std::memory_order_relaxed);
   const std::uint64_t bsz =
       live ? live : pm.sizer.next_block_bytes(ctx_.stall_ns(p));
-  const int nb = static_cast<int>((cfg_.step_bytes + bsz - 1) / bsz);
+  const int nb = static_cast<int>((at_.step_bytes + bsz - 1) / bsz);
   for (int b = 0; b < nb; ++b) {
     BlockHeader h;
     h.id = BlockId{step, p, b};
     h.offset = static_cast<std::uint64_t>(b) * bsz;
     h.bytes = (b == nb - 1)
-                  ? cfg_.step_bytes - static_cast<std::uint64_t>(nb - 1) * bsz
+                  ? at_.step_bytes - static_cast<std::uint64_t>(nb - 1) * bsz
                   : bsz;
     co_await put_header(p, ItemT{h, {}});
   }
@@ -306,8 +306,10 @@ typename B::Task ZipperBody<B>::sender_main(int p) {
   if (live_control_) {
     // Unpinned protocol (route may have changed mid-run): every consumer
     // hears end-of-stream from every producer.
-    fed.resize(static_cast<std::size_t>(Q_));
-    for (int c = 0; c < Q_; ++c) fed[static_cast<std::size_t>(c)] = c;
+    fed.resize(static_cast<std::size_t>(at_.consumers));
+    for (int c = 0; c < at_.consumers; ++c) {
+      fed[static_cast<std::size_t>(c)] = c;
+    }
   } else {
     fed = route_.consumers_fed_by(p);
   }
@@ -392,7 +394,7 @@ typename B::Task ZipperBody<B>::control_main() {
     snap.stall_s = static_cast<double>(stall - last_stall) / 1e9;
     last_stall = stall;
     snap.stall_fraction =
-        snap.stall_s / (snap.window_s * static_cast<double>(P_));
+        snap.stall_s / (snap.window_s * static_cast<double>(at_.producers));
     snap.max_queued = ctx_.max_queued();
     const std::uint64_t analyzed =
         agg_.blocks_analyzed.load(std::memory_order_relaxed);
@@ -512,7 +514,7 @@ std::optional<std::pair<typename ZipperBody<B>::ItemT, int>>
 ZipperBody<B>::try_steal(int thief) {
   int victim = -1;
   std::size_t deepest = 0;
-  for (int v = 0; v < Q_; ++v) {
+  for (int v = 0; v < at_.consumers; ++v) {
     if (v == thief) continue;
     const std::size_t n = consumers_[static_cast<std::size_t>(v)]->buffer.size();
     if (n >= cfg_.sched.steal_min_queue && n > deepest) {
@@ -542,7 +544,7 @@ typename B::Task ZipperBody<B>::consumer_next(int c, std::optional<ItemT>& out) 
   while (true) {
     // Re-read each iteration: the online controller may flip stealing on
     // mid-run (a no-op re-read on the default path).
-    const bool stealing = consumer_stealing() && Q_ > 1;
+    const bool stealing = consumer_stealing() && at_.consumers > 1;
     std::optional<ItemT> it;
     int routed_to = c;  // consumer whose outstanding count this block holds
     bool ended = false;
@@ -570,7 +572,7 @@ typename B::Task ZipperBody<B>::consumer_next(int c, std::optional<ItemT>& out) 
           // depth — without this, a peer abandoned mid-drain (its
           // application thread died or stopped reading) would strand every
           // thief in the nap loop forever.
-          for (int v = 0; v < Q_ && !it; ++v) {
+          for (int v = 0; v < at_.consumers && !it; ++v) {
             if (v == c) continue;
             auto& vm = *consumers_[static_cast<std::size_t>(v)];
             if (!vm.buffer.closed() || vm.buffer.empty()) continue;

@@ -85,7 +85,7 @@ struct SessionSpec {
   // Shared "PFS" directory for this session's spill/preserve files.
   std::string spill_dir;
   // The producer side runs a live controller, so every producer ends the
-  // stream of every consumer (BodyConfig::peer_live_control on the daemon).
+  // stream of every consumer (Placement::peer_live_control on the daemon).
   bool live_control = false;
 
   int blocks_per_step() const {
@@ -102,7 +102,7 @@ struct SessionSpec {
 struct WireMixed {
   bool has_block = false;
   bool done = false;
-  std::int32_t producer = -1;  // producer trace rank (BodyConfig convention)
+  std::int32_t producer = -1;  // producer trace rank (Placement convention)
   std::int32_t consumer = 0;   // destination consumer index
   BlockHeader block{};
   std::vector<BlockHeader> ids_on_disk;

@@ -52,10 +52,18 @@ BodyConfig body_config_from(const SessionSpec& spec) {
   bc.consumer_buffer_blocks = static_cast<int>(spec.consumer_buffer_blocks);
   bc.sched.route = static_cast<sched::RouteKind>(spec.route_kind);
   bc.sched.consumer_steal = spec.consumer_steal;
-  bc.step_bytes = spec.step_bytes;
-  bc.first_producer_rank = 0;
-  bc.first_consumer_rank = static_cast<int>(spec.producers);
   return bc;
+}
+
+/// Trace-rank convention shared by both ends: producers are ranks 0..P-1,
+/// consumers P..P+Q-1.
+Placement placement_from(const SessionSpec& spec) {
+  const int P = static_cast<int>(spec.producers);
+  return Placement{.producers = P,
+                   .consumers = static_cast<int>(spec.consumers),
+                   .first_consumer_rank = P,
+                   .step_bytes = spec.step_bytes,
+                   .peer_live_control = spec.live_control};
 }
 
 std::shared_ptr<const chaos::ChaosEngine> chaos_from(const SessionSpec& spec) {
@@ -357,7 +365,6 @@ sim::Task ZipperdServer::run_session(int fd, FrameDecoder& dec,
 
   BodyConfig bc = body_config_from(spec);
   bc.chaos = s.chaos;
-  bc.peer_live_control = spec.live_control;
   Session* sp = &s;
   bc.on_analyzed = [this, sp](int c, const BlockHeader& h) {
     if (!sp->seen.insert(h.id).second) sp->duplicate = true;
@@ -376,9 +383,7 @@ sim::Task ZipperdServer::run_session(int fd, FrameDecoder& dec,
     if (opts_.on_analyzed) opts_.on_analyzed(sp->spec.session_id, c, h);
   };
   s.body = std::make_unique<ZipperBody<NetBinding>>(*s.env, bc,
-                                                    static_cast<int>(
-                                                        spec.producers),
-                                                    Q);
+                                                    placement_from(spec));
   s.ends_left.reserve(static_cast<std::size_t>(Q));
   for (int c = 0; c < Q; ++c) {
     s.ends_left.push_back(s.body->expected_end_markers(c));
@@ -658,7 +663,7 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
     bc.controller = st.opts->make_controller();
     bc.control_interval = st.opts->control_interval;
   }
-  ZipperBody<NetBinding> body(env, bc, P, Q);
+  ZipperBody<NetBinding> body(env, bc, placement_from(spec));
 
   co_await env.write_frame(encode_hello(spec));
   for (int p = 0; p < P; ++p) body.spawn_producer_services(p);
@@ -731,8 +736,7 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
     std::filesystem::remove_all(sdir, fec);
   }
 
-  exec::AggregateStats ag{};
-  body.aggregate_into(ag);
+  const exec::AggregateStats ag = body.aggregate();
   st.res.put_retries += ag.put_retries;
   st.res.blocks_spilled_slow += ag.blocks_spilled_slow;
   st.res.blocks_analyzed += sum.blocks_analyzed;

@@ -1,10 +1,15 @@
-// Virtual-time binding: runs ZipperBody on the deterministic DES kernel.
+// Virtual-time binding: runs ZipperBody on the deterministic DES kernel —
+// the paper-scale experiments (up to 13,056 simulated cores).
 //
-// The primitives ARE the sim primitives and every effect operation expands to
-// exactly the awaiter sequence the historical core/dsim runtime issued, so
-// the instantiation preserves the (time, seq) event schedule bit-for-bit —
-// including under `--sim-threads N`, where each shard's Simulation gets its
-// own VtEnv.
+// The primitives ARE the sim primitives, so a run is a pure function of its
+// config: the same (time, seq) event schedule every time, including under
+// `--sim-threads N`, where each shard's Simulation gets its own VtEnv.
+// workflow::PipelineCoupling owns one VtEnv + ZipperBody<VtBinding> per
+// pipeline edge. Costs come from two places:
+//   * the cluster model (fabric ports, PFS OSTs) — contention, congestion;
+//   * calibrated per-rank software rates (VtConfig) representing the
+//     runtime's packing/copy/protocol work, fitted to the paper's measured
+//     transfer stages.
 #pragma once
 
 #include <any>
@@ -45,22 +50,29 @@ struct VtBinding {
   static constexpr bool kConsumersMayAbandon = false;
 };
 
-/// The old SimZipperConfig knobs that price the software paths (per-rank
-/// calibrated rates, credit window) plus the instance's world placement.
-struct VtEnvConfig {
+/// The DES edition's knobs: the body's, plus what prices its software paths.
+struct VtConfig : BodyConfig {
+  // Per-rank software-path rates (bytes/s), calibrated to the paper's Fig 12
+  // stage times (see EXPERIMENTS.md): a fast producer's transfer stage is
+  // bound by the consumer-side receive processing (~110 MB/s per analysis
+  // rank serving 2 producers => ~38 s for 2 GiB/rank), while a slow producer
+  // sees only its own sender cost (~140 MB/s => ~15 s).
   double sender_bandwidth = 140e6;   // sender-thread pack+send rate
-  double writer_bandwidth = 40e6;    // spill packing rate
+  double writer_bandwidth = 40e6;    // spill packing rate (fig 14 gains)
   double receiver_bandwidth = 110e6; // consumer-side unpack/match rate
   double reader_bandwidth = 200e6;   // consumer-side PFS fetch processing
-  int sender_window = 4;             // credit-based flow control
-  std::string file_tag = "z";        // PFS-name prefix for spill/preserve
-  int first_producer_rank = 0;
-  int first_consumer_rank = 0;
+
+  // Credit-based flow control: a sender may have at most this many
+  // unacknowledged blocks in flight, so consumer-side backpressure reaches
+  // the producer (and shows up in its buffer) like real MPI flow control.
+  int sender_window = 4;
 };
 
 /// Effect operations against the simulated cluster: mpi::World transport,
 /// pfs::ParallelFileSystem files, trace::Recorder spans, WorkloadProfile
-/// analysis costs.
+/// analysis costs. `file_tag` prefixes the instance's spill/preserve file
+/// names ("z" => "zspill_…"/"zpreserve_c…"), so instances sharing one PFS
+/// never alias each other's files. `cfg` must outlive the env.
 class VtEnv {
  public:
   using ItemT = Item<VtBinding>;
@@ -68,12 +80,14 @@ class VtEnv {
 
   VtEnv(sim::Simulation& sim, mpi::World& world, pfs::ParallelFileSystem& fs,
         trace::Recorder& rec, const apps::WorkloadProfile& profile,
-        VtEnvConfig cfg, int num_producers, int num_consumers)
+        const VtConfig& cfg, const Placement& at, std::string file_tag)
       : ex_(sim), world_(&world), fs_(&fs), rec_(&rec), profile_(profile),
-        cfg_(std::move(cfg)),
-        in_flight_(static_cast<std::size_t>(num_producers), 0),
-        preserve_fid_(static_cast<std::size_t>(num_consumers), 0),
-        preserve_offset_(static_cast<std::size_t>(num_consumers), 0) {}
+        cfg_(&cfg), first_producer_rank_(at.first_producer_rank),
+        first_consumer_rank_(at.first_consumer_rank),
+        file_tag_(std::move(file_tag)),
+        in_flight_(static_cast<std::size_t>(at.producers), 0),
+        preserve_fid_(static_cast<std::size_t>(at.consumers), 0),
+        preserve_offset_(static_cast<std::size_t>(at.consumers), 0) {}
 
   sim::Simulation& prim() noexcept { return ex_.simulation(); }
   sim::Time now() const noexcept { return ex_.now(); }
@@ -101,9 +115,9 @@ class VtEnv {
     const std::uint64_t bytes = msg.item.h.bytes;
     const int prank = producer_rank(p);
     int& in_flight = in_flight_[static_cast<std::size_t>(p)];
-    if (in_flight >= cfg_.sender_window) {
+    if (in_flight >= cfg_->sender_window) {
       const sim::Time w0 = ex_.now();
-      while (in_flight >= cfg_.sender_window) {
+      while (in_flight >= cfg_->sender_window) {
         mpi::Envelope ack;
         co_await world_->recv(prank, mpi::kAnySource, kZipperAckTag, ack);
         --in_flight;
@@ -111,7 +125,7 @@ class VtEnv {
       world_->fabric().charge_xmit_wait(world_->host_of(prank),
                                         ex_.now() - w0);
     }
-    co_await ex_.simulation().delay(cost(bytes, cfg_.sender_bandwidth));
+    co_await ex_.simulation().delay(cost(bytes, cfg_->sender_bandwidth));
     co_await world_->send(prank, consumer_rank(c), kZipperTag, bytes,
                           std::any{std::move(msg)});
     ++in_flight;
@@ -133,14 +147,14 @@ class VtEnv {
   /// multiply round-trips exactly, so the no-chaos schedule is unchanged).
   sim::Task receive_block(int c, std::uint64_t bytes, int producer,
                           double slow) {
-    sim::Time d = cost(bytes, cfg_.receiver_bandwidth);
+    sim::Time d = cost(bytes, cfg_->receiver_bandwidth);
     d = static_cast<sim::Time>(static_cast<double>(d) * slow);
     co_await ex_.simulation().delay(d);
     world_->isend(consumer_rank(c), producer, kZipperAckTag, 32);
   }
 
   sim::Task spill_write(int p, const ItemT& it) {
-    co_await ex_.simulation().delay(cost(it.h.bytes, cfg_.writer_bandwidth));
+    co_await ex_.simulation().delay(cost(it.h.bytes, cfg_->writer_bandwidth));
     pfs::FileId fid = 0;
     const int host = world_->host_of(producer_rank(p));
     co_await fs_->create(host, spill_name(it.h.id), fid);
@@ -150,14 +164,14 @@ class VtEnv {
   sim::Task fetch_spill(int c, const BlockHeader& h, ItemT& out) {
     co_await fs_->read(world_->host_of(consumer_rank(c)),
                        fs_->id_of(spill_name(h.id)), 0, h.bytes);
-    co_await ex_.simulation().delay(cost(h.bytes, cfg_.reader_bandwidth));
+    co_await ex_.simulation().delay(cost(h.bytes, cfg_->reader_bandwidth));
     out.h = h;
   }
 
   sim::Task preserve_open(int c) {
     pfs::FileId fid = 0;
     const int host = world_->host_of(consumer_rank(c));
-    co_await fs_->create(host, cfg_.file_tag + "preserve_c" + std::to_string(c),
+    co_await fs_->create(host, file_tag_ + "preserve_c" + std::to_string(c),
                          fid);
     preserve_fid_[static_cast<std::size_t>(c)] = fid;
   }
@@ -195,13 +209,13 @@ class VtEnv {
   static constexpr sim::Time kStealPoll = 200 * sim::kMicrosecond;
 
   int producer_rank(int p) const noexcept {
-    return cfg_.first_producer_rank + p;
+    return first_producer_rank_ + p;
   }
   int consumer_rank(int c) const noexcept {
-    return cfg_.first_consumer_rank + c;
+    return first_consumer_rank_ + c;
   }
   std::string spill_name(const BlockId& id) const {
-    return cfg_.file_tag + "spill_" + id.to_string();
+    return file_tag_ + "spill_" + id.to_string();
   }
   static sim::Time cost(std::uint64_t bytes, double rate) {
     return static_cast<sim::Time>(static_cast<double>(bytes) / rate * 1e9);
@@ -212,7 +226,10 @@ class VtEnv {
   pfs::ParallelFileSystem* fs_;
   trace::Recorder* rec_;
   apps::WorkloadProfile profile_;
-  VtEnvConfig cfg_;
+  const VtConfig* cfg_;
+  int first_producer_rank_;
+  int first_consumer_rank_;
+  std::string file_tag_;
   std::vector<int> in_flight_;  // per-producer unacked blocks (credit window)
   std::vector<pfs::FileId> preserve_fid_;
   std::vector<std::uint64_t> preserve_offset_;

@@ -48,7 +48,7 @@ bool try_groups(int S, int P, int Q, const workflow::ClusterSpec& cs,
 
   // Empirical routing closure: every producer's statically-routed consumer
   // must (a) land in the producer's own group and (b) be reproduced by the
-  // slice-local map the shard's SimZipper will actually evaluate.
+  // slice-local map the shard's ZipperBody will actually evaluate.
   for (int s = 0; s < S; ++s) {
     const int p0 = cut_p[static_cast<std::size_t>(s)];
     const int p1 = cut_p[static_cast<std::size_t>(s) + 1];

@@ -258,7 +258,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // Chaos injection + online control: everything hangs off a per-scenario
   // seeded engine, so the run stays a pure function of the spec.
   std::shared_ptr<core::chaos::ChaosEngine> chaos_engine;
-  core::dsim::SimZipperConfig zcfg = spec.zipper;
+  core::zbody::VtConfig zcfg = spec.zipper;
   if (spec.chaos.any()) {
     // Fault windows are spread over the healthy run's expected span (plus
     // headroom for the chaos-induced slowdown itself).

@@ -20,7 +20,7 @@
 
 #include "apps/profiles.hpp"
 #include "common/units.hpp"
-#include "core/dsim/sim_runtime.hpp"
+#include "core/zipper/vt_binding.hpp"
 #include "model/perf_model.hpp"
 #include "transports/factory.hpp"
 #include "transports/params.hpp"
@@ -66,7 +66,7 @@ struct ScenarioSpec {
   std::uint64_t bytes_per_rank_per_step = 0;  // 0 => profile default
 
   transports::TransportParams params;
-  core::dsim::SimZipperConfig zipper;
+  core::zbody::VtConfig zipper;
 
   // Weak-scaled PFS slice: num_osts = max(2, round(base * P / ref)). The
   // figure harnesses use this so a reduced run sees the same per-rank PFS

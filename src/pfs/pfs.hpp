@@ -90,6 +90,7 @@ class ParallelFileSystem {
   const PfsConfig& config() const noexcept { return cfg_; }
   std::uint64_t total_bytes_written() const noexcept { return bytes_written_; }
   std::uint64_t total_bytes_read() const noexcept { return bytes_read_; }
+  std::size_t num_files() const noexcept { return files_.size(); }
   const sim::Resource& ost(int i) const { return *osts_[i]; }
 
  private:

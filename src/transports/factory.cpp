@@ -81,7 +81,7 @@ int servers_for(Method m, int producers) {
 
 std::unique_ptr<workflow::Coupling> make_coupling(
     Method m, workflow::Cluster& cluster, const apps::WorkloadProfile& profile,
-    const TransportParams& params, const core::dsim::SimZipperConfig& zipper_cfg,
+    const TransportParams& params, const core::zbody::VtConfig& zipper_cfg,
     const workflow::PipelineSpec& pipeline) {
   switch (m) {
     case Method::kMpiIo:

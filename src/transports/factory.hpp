@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "apps/profiles.hpp"
-#include "core/dsim/sim_runtime.hpp"
+#include "core/zipper/vt_binding.hpp"
 #include "transports/params.hpp"
 #include "workflow/cluster.hpp"
 #include "workflow/coupling.hpp"
@@ -55,7 +55,7 @@ int servers_for(Method m, int producers);
 std::unique_ptr<workflow::Coupling> make_coupling(
     Method m, workflow::Cluster& cluster, const apps::WorkloadProfile& profile,
     const TransportParams& params = {},
-    const core::dsim::SimZipperConfig& zipper_cfg = {},
+    const core::zbody::VtConfig& zipper_cfg = {},
     const workflow::PipelineSpec& pipeline = {});
 
 }  // namespace zipper::transports

@@ -6,7 +6,7 @@
 // nodes, fan-in reductions, bandwidth-reducing compression on the wire
 // (Catalyst-ADIOS2, PAPERS.md). A PipelineSpec describes such a chain
 // declaratively; PipelineCoupling (pipeline_coupling.hpp) executes it by
-// chaining one SimZipper instance per edge (the paper's single hop is the
+// chaining one ZipperBody instance per edge (the paper's single hop is the
 // one-edge chain, make_chain(1)), and the §4 model composes the
 // per-edge stage equations into a multi-stage bottleneck analysis
 // (model::predict_pipeline).

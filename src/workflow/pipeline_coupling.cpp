@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sim/time.hpp"
 
@@ -17,15 +19,10 @@ namespace {
 /// drop the spill side channel; kPfs additionally pins the wire to the
 /// PFS-coupled writer/reader rates. A colocated downstream stage upgrades
 /// the edge to a memory-speed software path.
-core::dsim::SimZipperConfig edge_config(const core::dsim::SimZipperConfig& base,
-                                        const PipelineSpec& pl, std::size_t e,
-                                        int first_producer_rank,
-                                        std::size_t num_edges) {
-  core::dsim::SimZipperConfig c = base;
-  c.first_producer_rank = first_producer_rank;
-  // Per-edge file tag so spilled blocks with equal BlockIds from different
-  // edges cannot collide on the PFS namespace.
-  if (e > 0) c.file_tag = "e" + std::to_string(e) + base.file_tag;
+core::zbody::VtConfig edge_config(const core::zbody::VtConfig& base,
+                                  const PipelineSpec& pl, std::size_t e,
+                                  std::size_t num_edges) {
+  core::zbody::VtConfig c = base;
   // Preserve writes the *final* analysis products; interior edges forward.
   c.preserve = base.preserve && e + 1 == num_edges;
   // Chaos and the online controller target exactly one edge.
@@ -56,6 +53,12 @@ core::dsim::SimZipperConfig edge_config(const core::dsim::SimZipperConfig& base,
   return c;
 }
 
+/// Per-edge PFS-name prefix, so spilled blocks with equal BlockIds from
+/// different edges cannot collide on the file system's namespace.
+std::string edge_file_tag(std::size_t e) {
+  return e == 0 ? "z" : "e" + std::to_string(e) + "z";
+}
+
 /// A shard slice's hook reporting global producer/consumer indices.
 std::function<void(int, const core::BlockHeader&)> rebased(
     std::function<void(int, const core::BlockHeader&)> fn, const ShardGroup& g) {
@@ -70,8 +73,24 @@ std::function<void(int, const core::BlockHeader&)> rebased(
 
 }  // namespace
 
-void accumulate_stats(core::dsim::SimZipperStats& into,
-                      const core::dsim::SimZipperStats& s) {
+/// One edge's runtime. The env reads its rates from `cfg`, which therefore
+/// lives as long as the env.
+struct PipelineCoupling::Edge {
+  Edge(sim::Simulation& kernel, Cluster& cl,
+       const apps::WorkloadProfile& profile, core::zbody::VtConfig c,
+       const core::zbody::Placement& at, std::string file_tag)
+      : cfg(std::move(c)),
+        env(kernel, *cl.world, *cl.fs, cl.recorder, profile, cfg, at,
+            std::move(file_tag)),
+        body(env, cfg, at) {}
+
+  core::zbody::VtConfig cfg;
+  core::zbody::VtEnv env;
+  core::zbody::ZipperBody<core::zbody::VtBinding> body;
+};
+
+void accumulate_stats(core::exec::AggregateStats& into,
+                      const core::exec::AggregateStats& s) {
   into.producer_stall += s.producer_stall;
   into.sender_busy += s.sender_busy;
   into.writer_busy += s.writer_busy;
@@ -89,7 +108,7 @@ void accumulate_stats(core::dsim::SimZipperStats& into,
 }
 
 std::map<std::string, double> zipper_metrics(
-    const core::dsim::SimZipperStats& s, bool chaos) {
+    const core::exec::AggregateStats& s, bool chaos) {
   std::map<std::string, double> m{
       {"stall_s", sim::to_seconds(s.producer_stall)},
       {"sender_busy_s", sim::to_seconds(s.sender_busy)},
@@ -115,7 +134,7 @@ std::map<std::string, double> zipper_metrics(
 
 PipelineCoupling::PipelineCoupling(Cluster& cluster,
                                    const apps::WorkloadProfile& profile,
-                                   const core::dsim::SimZipperConfig& cfg,
+                                   const core::zbody::VtConfig& cfg,
                                    const PipelineSpec& pipeline)
     : cl_(&cluster), pl_(pipeline) {
   pl_.validate();
@@ -132,7 +151,7 @@ PipelineCoupling::PipelineCoupling(Cluster& cluster,
 
 PipelineCoupling::PipelineCoupling(Cluster& cluster, int shard,
                                    const apps::WorkloadProfile& profile,
-                                   const core::dsim::SimZipperConfig& cfg,
+                                   const core::zbody::VtConfig& cfg,
                                    const PipelineSpec& pipeline,
                                    const ShardGroup& g)
     : cl_(&cluster), pl_(pipeline) {
@@ -141,15 +160,17 @@ PipelineCoupling::PipelineCoupling(Cluster& cluster, int shard,
     throw std::invalid_argument("pipeline: a shard slice needs a one-edge chain");
   ranks_ = {g.p1 - g.p0, g.c1 - g.c0};
   base_rank_ = {cluster.producer_rank(g.p0), cluster.consumer_rank(g.c0)};
-  core::dsim::SimZipperConfig local = cfg;
+  core::zbody::VtConfig local = cfg;
   local.on_analyzed = rebased(cfg.on_analyzed, g);
   local.on_output = rebased(cfg.on_output, g);
   build(cluster.shard_sim(shard), profile, local);
 }
 
+PipelineCoupling::~PipelineCoupling() = default;
+
 void PipelineCoupling::build(sim::Simulation& kernel,
                              const apps::WorkloadProfile& profile,
-                             const core::dsim::SimZipperConfig& cfg) {
+                             const core::zbody::VtConfig& cfg) {
   chaos_ = cfg.chaos != nullptr || static_cast<bool>(cfg.controller);
   const std::size_t E = pl_.edges.size();
   relays_.resize(E);
@@ -161,7 +182,7 @@ void PipelineCoupling::build(sim::Simulation& kernel,
   }
 
   for (std::size_t e = 0; e < E; ++e) {
-    auto c = edge_config(cfg, pl_, e, base_rank_[e], E);
+    auto c = edge_config(cfg, pl_, e, E);
     // The downstream stage's analysis weight rides on the profile's per-byte
     // rate; everything else about the profile only concerns stage 0.
     apps::WorkloadProfile prof = profile;
@@ -180,9 +201,15 @@ void PipelineCoupling::build(sim::Simulation& kernel,
         relays_[e + 1][static_cast<std::size_t>(cc)]->try_send(h);
       };
     }
-    zips_.push_back(std::make_unique<core::dsim::SimZipper>(
-        kernel, *cl_->world, *cl_->fs, cl_->recorder, prof, c, ranks_[e],
-        ranks_[e + 1], base_rank_[e + 1]));
+    const core::zbody::Placement at{
+        .producers = ranks_[e],
+        .consumers = ranks_[e + 1],
+        .first_producer_rank = base_rank_[e],
+        .first_consumer_rank = base_rank_[e + 1],
+        .step_bytes = prof.bytes_per_rank_per_step,
+    };
+    edges_.push_back(std::make_unique<Edge>(kernel, *cl_, prof, std::move(c),
+                                            at, edge_file_tag(e)));
   }
 
   std::int64_t interior = 0;
@@ -191,8 +218,13 @@ void PipelineCoupling::build(sim::Simulation& kernel,
 }
 
 void PipelineCoupling::spawn_services() {
-  for (auto& z : zips_) z->spawn_services();
-  for (std::size_t e = 1; e < zips_.size(); ++e) {
+  for (auto& ed : edges_) {
+    for (int p = 0; p < ed->body.producers(); ++p) {
+      ed->body.spawn_producer_services(p);
+    }
+    ed->body.spawn_control();
+  }
+  for (std::size_t e = 1; e < edges_.size(); ++e) {
     for (int p = 0; p < ranks_[e]; ++p) cl_->sim.spawn(forward_main(e, p));
     for (int c = 0; c < ranks_[e + 1]; ++c)
       cl_->sim.spawn(stage_consumer(e, c));
@@ -200,25 +232,25 @@ void PipelineCoupling::spawn_services() {
 }
 
 sim::Task PipelineCoupling::producer_step(int p, int step) {
-  return zips_[0]->producer_put(p, step);
+  return edges_[0]->body.producer_put(p, step);
 }
 
 sim::Task PipelineCoupling::producer_block(int p, int step, int block,
                                            int num_blocks) {
-  return zips_[0]->producer_put_block(p, step, block, num_blocks);
+  return edges_[0]->body.producer_put_block(p, step, block, num_blocks);
 }
 
 int PipelineCoupling::producer_blocks_per_step() const {
-  return zips_[0]->blocks_per_step();
+  return edges_[0]->body.blocks_per_step();
 }
 
 sim::Task PipelineCoupling::producer_finalize(int p) {
-  return zips_[0]->producer_finalize(p);
+  return edges_[0]->body.producer_finalize(p);
 }
 
 sim::Task PipelineCoupling::consumer_run(int c) {
-  co_await zips_[0]->consumer_run(c);
-  if (zips_.size() > 1) relays_[1][static_cast<std::size_t>(c)]->close();
+  co_await edges_[0]->body.consumer_run(c);
+  if (edges_.size() > 1) relays_[1][static_cast<std::size_t>(c)]->close();
   // Hold the runner's completion latch until every deeper stage drained, so
   // end_to_end_s covers the whole chain.
   co_await chain_done_->wait();
@@ -239,16 +271,22 @@ sim::Task PipelineCoupling::forward_main(std::size_t e, int p) {
     out.offset = 0;
     out.bytes = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(static_cast<double>(h->bytes) / comp));
-    co_await zips_[e]->producer_put_raw(p, out);
+    co_await edges_[e]->body.put_header(
+        p, core::zbody::Item<core::zbody::VtBinding>{out, {}});
   }
-  co_await zips_[e]->producer_finalize(p);
+  co_await edges_[e]->body.producer_finalize(p);
 }
 
 sim::Task PipelineCoupling::stage_consumer(std::size_t e, int c) {
-  co_await zips_[e]->consumer_run(c);
-  if (e + 1 < zips_.size())
+  co_await edges_[e]->body.consumer_run(c);
+  if (e + 1 < edges_.size())
     relays_[e + 1][static_cast<std::size_t>(c)]->close();
   chain_done_->count_down();
+}
+
+const core::zbody::ZipperBody<core::zbody::VtBinding>& PipelineCoupling::edge(
+    int e) const {
+  return edges_[static_cast<std::size_t>(e)]->body;
 }
 
 std::map<std::string, double> PipelineCoupling::metrics() const {
@@ -256,13 +294,13 @@ std::map<std::string, double> PipelineCoupling::metrics() const {
   // observe(), presenters, the tuner probe). A one-edge chain publishes only
   // those, its resilience counters included; a longer chain adds the edge
   // count and an e<i>_ breakdown, where the chaos edge's counters live.
-  auto m = zipper_metrics(zips_[0]->stats(), chaos_ && zips_.size() == 1);
-  if (zips_.size() == 1) return m;
-  m.emplace("pipeline_edges", static_cast<double>(zips_.size()));
-  for (std::size_t e = 0; e < zips_.size(); ++e) {
+  auto m = zipper_metrics(edge(0).aggregate(), chaos_ && edges_.size() == 1);
+  if (edges_.size() == 1) return m;
+  m.emplace("pipeline_edges", static_cast<double>(edges_.size()));
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
     // The same formula per edge, less the steal ratio, plus the analyzed
     // count that shows what each hop delivered.
-    const auto& s = zips_[e]->stats();
+    const auto s = edges_[e]->body.aggregate();
     const std::string k = "e" + std::to_string(e) + "_";
     const bool chaos = chaos_ && static_cast<int>(e) == pl_.chaos_edge;
     for (const auto& [name, v] : zipper_metrics(s, chaos)) {

@@ -1,15 +1,16 @@
-// The Zipper coupling: executes a PipelineSpec chain by running one SimZipper
-// instance per edge and splicing them together with forwarding coroutines.
-// The paper's single producer->consumer hop is the one-edge chain
-// (make_chain(1)); every Zipper scenario, sequential or sharded, runs here.
+// The Zipper coupling: executes a PipelineSpec chain by running one
+// ZipperBody<VtBinding> (with its VtEnv) per edge and splicing them together
+// with forwarding coroutines. The paper's single producer->consumer hop is
+// the one-edge chain (make_chain(1)); every Zipper scenario, sequential or
+// sharded, runs here.
 //
-// Edge e's consumers ARE edge e+1's producers — the same world ranks, with
-// the downstream SimZipper's first_producer_rank pointing at them. When a
-// block finishes analysis on edge e, the runtime's on_output hook drops its
-// header into an unbounded relay channel; a forwarder coroutine on that rank
-// re-stamps the BlockId (each stage owns its own per-producer FIFO numbering),
-// applies the edge's compression factor to the byte count, and pushes it into
-// the downstream SimZipper with the normal backpressure/stall accounting.
+// Edge e's consumers ARE edge e+1's producers — the same world ranks, placed
+// as the downstream body's first producer rank. When a block finishes
+// analysis on edge e, the body's on_output hook drops its header into an
+// unbounded relay channel; a forwarder coroutine on that rank re-stamps the
+// BlockId (each stage owns its own per-producer FIFO numbering), applies the
+// edge's compression factor to the byte count, and puts it into the
+// downstream body with the normal backpressure/stall accounting.
 // End-of-stream cascades the same way: when an edge-e consumer finishes, it
 // closes its relay; the forwarder drains and finalizes, which terminates the
 // downstream consumers in turn.
@@ -26,7 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "core/dsim/sim_runtime.hpp"
+#include "core/exec/exec.hpp"
+#include "core/zipper/vt_binding.hpp"
 #include "sim/channel.hpp"
 #include "sim/latch.hpp"
 #include "workflow/cluster.hpp"
@@ -39,15 +41,15 @@ namespace zipper::workflow {
 /// Field-wise sum of slice counters. All fields are integers, so summing the
 /// shard slices, then applying zipper_metrics(), reproduces the whole run's
 /// metrics byte-for-byte.
-void accumulate_stats(core::dsim::SimZipperStats& into,
-                      const core::dsim::SimZipperStats& s);
+void accumulate_stats(core::exec::AggregateStats& into,
+                      const core::exec::AggregateStats& s);
 
 /// The metric map every Zipper figure reads, as a pure function of one
 /// edge's counters so the sequential path (one runtime) and the sharded path
 /// (summed slices) share one formula. The resilience counters appear only
 /// with `chaos`, so default artifacts keep the pre-chaos layout.
 std::map<std::string, double> zipper_metrics(
-    const core::dsim::SimZipperStats& s, bool chaos);
+    const core::exec::AggregateStats& s, bool chaos);
 
 class PipelineCoupling : public Coupling {
  public:
@@ -56,7 +58,7 @@ class PipelineCoupling : public Coupling {
   /// attach only to pipeline.chaos_edge. The cluster's layout must match
   /// pipeline.resolved_ranks: {ranks[0], ranks[1], sum(ranks[2..])}.
   PipelineCoupling(Cluster& cluster, const apps::WorkloadProfile& profile,
-                   const core::dsim::SimZipperConfig& cfg,
+                   const core::zbody::VtConfig& cfg,
                    const PipelineSpec& pipeline);
 
   /// Shard slice of a one-edge chain (run_workflow_sharded): producers
@@ -64,8 +66,9 @@ class PipelineCoupling : public Coupling {
   /// numbered from 0 locally. cfg's hooks still see global indices.
   PipelineCoupling(Cluster& cluster, int shard,
                    const apps::WorkloadProfile& profile,
-                   const core::dsim::SimZipperConfig& cfg,
+                   const core::zbody::VtConfig& cfg,
                    const PipelineSpec& pipeline, const ShardGroup& g);
+  ~PipelineCoupling() override;
 
   std::string name() const override { return "Zipper"; }
   void spawn_services() override;
@@ -87,16 +90,16 @@ class PipelineCoupling : public Coupling {
   std::function<void(int edge, int c, const core::BlockHeader&)>
       on_edge_analyzed;
 
-  int num_edges() const { return static_cast<int>(zips_.size()); }
-  /// Edge e's runtime (counters, per-endpoint stats).
-  const core::dsim::SimZipper& edge(int e) const {
-    return *zips_[static_cast<std::size_t>(e)];
-  }
+  int num_edges() const { return static_cast<int>(edges_.size()); }
+  /// Edge e's body (aggregate and per-endpoint counters).
+  const core::zbody::ZipperBody<core::zbody::VtBinding>& edge(int e) const;
 
  private:
-  /// Builds one SimZipper per edge on `kernel`, from ranks_ and base_rank_.
+  struct Edge;
+
+  /// Builds one env + body per edge on `kernel`, from ranks_ and base_rank_.
   void build(sim::Simulation& kernel, const apps::WorkloadProfile& profile,
-             const core::dsim::SimZipperConfig& cfg);
+             const core::zbody::VtConfig& cfg);
   /// Stage-(e) rank p's forwarding loop on edge e >= 1: relay -> re-stamp ->
   /// downstream put; finalizes the downstream producer when the relay closes.
   sim::Task forward_main(std::size_t e, int p);
@@ -108,10 +111,10 @@ class PipelineCoupling : public Coupling {
   bool chaos_ = false;
   std::vector<int> ranks_;      // per-stage rank counts (resolved)
   std::vector<int> base_rank_;  // per-stage world rank of the first rank
-  std::vector<std::unique_ptr<core::dsim::SimZipper>> zips_;  // one per edge
+  std::vector<std::unique_ptr<Edge>> edges_;
   // relays_[e][p]: header handoff from edge e-1's consumer p to edge e's
   // producer p (same rank). Unbounded — backpressure is carried by the
-  // downstream producer buffer via producer_put_raw, not the relay.
+  // downstream producer buffer via put_header, not the relay.
   std::vector<std::vector<std::unique_ptr<sim::Channel<core::BlockHeader>>>>
       relays_;
   std::unique_ptr<sim::Latch> chain_done_;  // one count per interior consumer

@@ -180,7 +180,7 @@ RunResult run_workflow(Cluster& cl, const apps::WorkloadProfile& prof,
 }
 
 RunResult run_workflow_sharded(Cluster& cl, const apps::WorkloadProfile& prof,
-                               const core::dsim::SimZipperConfig& base_cfg,
+                               const core::zbody::VtConfig& base_cfg,
                                const PipelineSpec& pipeline,
                                const ShardPlan& plan, ShardRunInfo* info) {
   const int S = plan.num_shards;
@@ -248,8 +248,8 @@ RunResult run_workflow_sharded(Cluster& cl, const apps::WorkloadProfile& prof,
   }
 
   RunResult r = collect_result(cl, P, Q, producer_finish, consumer_finish);
-  core::dsim::SimZipperStats total;
-  for (auto& slice : slices) accumulate_stats(total, slice->edge(0).stats());
+  core::exec::AggregateStats total;
+  for (auto& slice : slices) accumulate_stats(total, slice->edge(0).aggregate());
   r.metrics = zipper_metrics(
       total, base_cfg.chaos != nullptr || static_cast<bool>(base_cfg.controller));
   return r;

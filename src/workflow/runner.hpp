@@ -17,7 +17,7 @@
 
 #include "apps/profiles.hpp"
 #include "core/chaos/chaos.hpp"
-#include "core/dsim/sim_runtime.hpp"
+#include "core/zipper/vt_binding.hpp"
 #include "sim/time.hpp"
 #include "workflow/cluster.hpp"
 #include "workflow/coupling.hpp"
@@ -88,7 +88,7 @@ struct ShardRunInfo {
 /// Requires plan.sharded() and a Cluster built with the plan's ShardMap.
 RunResult run_workflow_sharded(Cluster& cluster,
                                const apps::WorkloadProfile& profile,
-                               const core::dsim::SimZipperConfig& base_cfg,
+                               const core::zbody::VtConfig& base_cfg,
                                const PipelineSpec& pipeline,
                                const ShardPlan& plan,
                                ShardRunInfo* info = nullptr);

@@ -282,6 +282,60 @@ TEST(RtRuntime, NoPreserveLeavesNoSpillFilesBehind) {
   EXPECT_TRUE(fs::is_empty(dirs.spill)) << "spill files leaked in No-Preserve mode";
 }
 
+TEST(RtRuntime, DefaultConfigRuntimesSpillIntoTheirOwnDirectories) {
+  // Spill files are named by BlockId alone. Two Runtimes left to pick their
+  // own spill directory stream the same BlockIds at once; each must deliver
+  // its own blocks exactly once, with its own bytes, and remove the
+  // directory it made.
+  Config cfg;
+  cfg.producer_buffer_blocks = 4;
+  cfg.network_bandwidth = 4e6;  // slow network: blocks take both channels
+  constexpr int kBlocks = 24;
+  fs::path spill_dirs[2];
+  {
+    Runtime rts[2] = {Runtime(1, 1, cfg), Runtime(1, 1, cfg)};
+    spill_dirs[0] = rts[0].config().spill_dir;
+    spill_dirs[1] = rts[1].config().spill_dir;
+    EXPECT_NE(spill_dirs[0], spill_dirs[1]);
+
+    std::map<BlockId, int> seen[2];
+    bool intact[2] = {true, true};
+    std::vector<std::thread> threads;
+    for (int r = 0; r < 2; ++r) {
+      threads.emplace_back([&rts, r] {
+        for (int b = 0; b < kBlocks; ++b) {
+          const auto seed = static_cast<std::uint64_t>(1000 * r + b);
+          rts[r].producer(0).write(BlockId{0, 0, b},
+                                   make_payload(seed, 64 * 1024));
+        }
+        rts[r].producer(0).finish();
+      });
+      threads.emplace_back([&rts, &seen, &intact, r] {
+        while (auto block = rts[r].consumer(0).read()) {
+          const auto seed =
+              static_cast<std::uint64_t>(1000 * r + block->header.id.index);
+          if (block->payload != make_payload(seed, 64 * 1024)) intact[r] = false;
+          ++seen[r][block->header.id];
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+
+    for (int r = 0; r < 2; ++r) {
+      EXPECT_GT(rts[r].producer(0).stats().blocks_stolen, 0u)
+          << "runtime " << r << " never spilled";
+      EXPECT_TRUE(intact[r]) << "runtime " << r << " read another's bytes";
+      EXPECT_EQ(seen[r].size(), static_cast<std::size_t>(kBlocks))
+          << "runtime " << r;
+      for (const auto& [id, n] : seen[r]) {
+        EXPECT_EQ(n, 1) << "runtime " << r << ": " << id.to_string();
+      }
+    }
+  }
+  EXPECT_FALSE(fs::exists(spill_dirs[0]));
+  EXPECT_FALSE(fs::exists(spill_dirs[1]));
+}
+
 TEST(RtRuntime, BlockMetadataSurvivesBothChannels) {
   TempDirs dirs;
   Config cfg = base_config(dirs);

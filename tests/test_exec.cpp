@@ -1,9 +1,10 @@
 // Differential suite over the unified execution core: the zipper application
 // body (core/zipper) is one translation unit instantiated over two executors
 // (core/exec), and this file pins down the contract between them. The same
-// seeded workload runs on the VirtualTimeExecutor (DES facade core/dsim) and
-// on the embedded runtime (facade core/rt, one epoll loop thread) and must
-// agree on the streaming invariants:
+// seeded workload runs on the VirtualTimeExecutor (one ZipperBody<VtBinding>
+// per edge of workflow::PipelineCoupling) and on the embedded runtime
+// (core/rt, one epoll loop thread) and must agree on the streaming
+// invariants:
 //
 //   * exactly-once delivery — every produced block analyzed/read once;
 //   * per-(producer,consumer) FIFO — with the dual channel and consumer
@@ -52,7 +53,6 @@ using core::exec::RankStats;
 // calibration code can consume either runtime's counters field-for-field.
 static_assert(std::is_same_v<core::rt::ProducerStats, RankStats>);
 static_assert(std::is_same_v<core::rt::ConsumerStats, RankStats>);
-static_assert(std::is_same_v<core::dsim::SimZipperStats, core::exec::AggregateStats>);
 
 namespace {
 
@@ -88,7 +88,7 @@ void expect_fifo(const OrderLog& order, const char* executor) {
 // ---------------------------------------------------------- virtual time ----
 
 struct VtOutcome {
-  core::dsim::SimZipperStats stats;
+  core::exec::AggregateStats stats;
   std::vector<RankStats> prod, cons;
   OrderLog order;
 };
@@ -102,7 +102,7 @@ VtOutcome run_virtual(bool steal) {
   prof.t_update = sim::from_seconds(0.01);
   prof.analysis_ns_per_byte = 1.0;  // cheap analysis: consumers starve => wait
 
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = kBlockBytes;
   z.producer_buffer_blocks = 4;
   z.enable_steal = steal;
@@ -117,7 +117,7 @@ VtOutcome run_virtual(bool steal) {
   cluster.recorder.set_enabled(false);
   workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
-  out.stats = coupling.edge(0).stats();
+  out.stats = coupling.edge(0).aggregate();
   for (int p = 0; p < kP; ++p) out.prod.push_back(coupling.edge(0).producer_stats(p));
   for (int c = 0; c < kQ; ++c) out.cons.push_back(coupling.edge(0).consumer_stats(c));
   return out;

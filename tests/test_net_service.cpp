@@ -137,7 +137,7 @@ VtOutcome run_virtual() {
   prof.t_update = sim::from_seconds(0.01);
   prof.analysis_ns_per_byte = 1.0;
 
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = kBlockBytes;
   z.producer_buffer_blocks = 8;
   // Stealing legitimately reorders via the disk path (test_exec pins that

@@ -10,12 +10,16 @@
 //     and bytes hop-to-hop, keeps per-(edge, producer, consumer) network
 //     FIFO order, and replays deterministically — across random edge
 //     methods, routes, spills, stealing, and preserve — one-edge chains,
-//     which every Zipper figure runs on, included.
+//     which every Zipper figure runs on, included. A pressured depth-2
+//     chain whose two edges spill equal BlockIds keeps one PFS file per
+//     spilled block.
 //   * The metric contract: a one-edge chain publishes exactly the Zipper
 //     key set, a longer chain adds the per-edge breakdown. (The golden
 //     digests, a ctest of their own, pin every figure's values.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <random>
 #include <set>
@@ -180,10 +184,38 @@ struct EdgeDelivery {
 struct PipeOutcome {
   PipelineSpec spec;
   int producers = 0;
+  std::size_t pfs_files = 0;  // files the run left on the simulated PFS
   double end_to_end_s = 0;
-  std::vector<core::dsim::SimZipperStats> stats;  // per edge
+  std::vector<core::exec::AggregateStats> stats;  // per edge
   std::vector<EdgeDelivery> deliveries;
 };
+
+/// Runs `pl` end-to-end through PipelineCoupling on P producers and Q
+/// stage-1 consumers, recording every edge's deliveries and counters.
+PipeOutcome run_pipeline(const PipelineSpec& pl, const core::zbody::VtConfig& z,
+                         int P, int Q, const apps::WorkloadProfile& prof) {
+  const auto ranks = pl.resolved_ranks(P, Q);
+  int servers = 0;
+  for (std::size_t i = 2; i < ranks.size(); ++i) servers += ranks[i];
+
+  workflow::Layout layout{P, ranks[1], servers};
+  workflow::Cluster cluster(workflow::ClusterSpec::bridges(), layout);
+  cluster.recorder.set_enabled(false);
+  workflow::PipelineCoupling coupling(cluster, prof, z, pl);
+
+  PipeOutcome out;
+  out.spec = pl;
+  out.producers = P;
+  coupling.on_edge_analyzed = [&out](int e, int c, const core::BlockHeader& h) {
+    out.deliveries.push_back({e, c, h});
+  };
+  out.end_to_end_s = workflow::run_workflow(cluster, prof, &coupling).end_to_end_s;
+  for (int e = 0; e < coupling.num_edges(); ++e) {
+    out.stats.push_back(coupling.edge(e).aggregate());
+  }
+  out.pfs_files = cluster.fs->num_files();
+  return out;
+}
 
 /// Builds a random (but seed-deterministic) pipeline graph + schedule
 /// configuration and runs it end-to-end through PipelineCoupling. Depth 1 is
@@ -208,7 +240,7 @@ PipeOutcome run_random_pipeline(std::uint64_t seed) {
   }
   pl.validate();
 
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = 512 * KiB;
   z.producer_buffer_blocks = 4;
   z.consumer_buffer_blocks = 8;
@@ -228,27 +260,7 @@ PipeOutcome run_random_pipeline(std::uint64_t seed) {
 
   const int P = pick(3, 5);
   const int Q = pick(2, 3);
-  const auto ranks = pl.resolved_ranks(P, Q);
-  int servers = 0;
-  for (std::size_t i = 2; i < ranks.size(); ++i) servers += ranks[i];
-
-  const auto prof = pipeline_profile();
-  workflow::Layout layout{P, ranks[1], servers};
-  workflow::Cluster cluster(workflow::ClusterSpec::bridges(), layout);
-  cluster.recorder.set_enabled(false);
-  workflow::PipelineCoupling coupling(cluster, prof, z, pl);
-
-  PipeOutcome out;
-  out.spec = pl;
-  out.producers = P;
-  coupling.on_edge_analyzed = [&out](int e, int c, const core::BlockHeader& h) {
-    out.deliveries.push_back({e, c, h});
-  };
-  out.end_to_end_s = workflow::run_workflow(cluster, prof, &coupling).end_to_end_s;
-  for (int e = 0; e < coupling.num_edges(); ++e) {
-    out.stats.push_back(coupling.edge(e).stats());
-  }
-  return out;
+  return run_pipeline(pl, z, P, Q, pipeline_profile());
 }
 
 /// The byte count edge e+1's forwarder emits for an edge-e block.
@@ -370,6 +382,36 @@ TEST_P(PipelineGraphs, DeterministicReplay) {
   }
 }
 
+TEST(PipelineSpills, EdgesSpillingEqualBlockIdsKeepSeparateFiles) {
+  // Both hops of a depth-2 chain under pressure: 32 small blocks per step,
+  // shallow buffers, a one-block credit window and a slow final stage. Edge
+  // 1's forwarders stamp {upstream step, rank, seq}, so its spilled blocks
+  // reuse ids that edge 0 spilled too. The PFS must still hold one file per
+  // spilled block: a name shared across edges would let the later create
+  // truncate the earlier block's file.
+  auto pl = make_chain(2);
+  pl.stages[2].work_factor = 4;
+  core::zbody::VtConfig z;
+  z.block_bytes = 64 * KiB;
+  z.producer_buffer_blocks = 4;
+  z.consumer_buffer_blocks = 2;
+  z.sender_window = 1;
+  auto prof = pipeline_profile();
+  prof.bytes_per_rank_per_step = 2 * MiB;
+  const auto out = run_pipeline(pl, z, 4, 2, prof);
+
+  std::set<BlockId> on_disk[2];
+  for (const auto& d : out.deliveries) {
+    if (d.h.on_disk) on_disk[d.edge].insert(d.h.id);
+  }
+  std::vector<BlockId> shared;
+  std::set_intersection(on_disk[0].begin(), on_disk[0].end(),
+                        on_disk[1].begin(), on_disk[1].end(),
+                        std::back_inserter(shared));
+  ASSERT_FALSE(shared.empty()) << "no BlockId spilled on both edges";
+  EXPECT_EQ(out.pfs_files, on_disk[0].size() + on_disk[1].size());
+}
+
 // ------------------------------------------------------ the metric contract --
 
 namespace {
@@ -377,7 +419,7 @@ namespace {
 /// metrics() of a finished depth-`depth` chain on 4 producers x 2 consumers.
 std::map<std::string, double> chain_metrics(int depth, bool controller) {
   const auto prof = pipeline_profile();
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = 512 * KiB;
   if (controller) {
     z.controller = [](const core::chaos::ControlSnapshot&) {
@@ -394,7 +436,7 @@ std::map<std::string, double> chain_metrics(int depth, bool controller) {
   if (depth == 1) {
     // The whole map is zipper_metrics() of the one edge.
     EXPECT_EQ(coupling.metrics(),
-              workflow::zipper_metrics(coupling.edge(0).stats(), controller));
+              workflow::zipper_metrics(coupling.edge(0).aggregate(), controller));
   }
   return coupling.metrics();
 }

@@ -259,13 +259,13 @@ struct Delivery {
 
 struct ComboOutcome {
   workflow::RunResult result;
-  core::dsim::SimZipperStats stats;
+  core::exec::AggregateStats stats;
   std::vector<Delivery> deliveries;
 };
 
 ComboOutcome run_combo(const ComboCase& sc) {
   const auto prof = combo_profile();
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = 512 * KiB;
   z.producer_buffer_blocks = 4;
   z.consumer_buffer_blocks = 8;  // small enough that stealing has material
@@ -287,7 +287,7 @@ ComboOutcome run_combo(const ComboCase& sc) {
   cluster.recorder.set_enabled(false);
   workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   out.result = workflow::run_workflow(cluster, prof, &coupling);
-  out.stats = coupling.edge(0).stats();
+  out.stats = coupling.edge(0).aggregate();
   return out;
 }
 
@@ -346,7 +346,7 @@ TEST_P(SchedCombos, PreserveModePersistsEveryByte) {
   const auto& sc = GetParam();
   if (!sc.preserve) return;
   const auto prof = combo_profile();
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = 512 * KiB;
   z.producer_buffer_blocks = 4;
   z.consumer_buffer_blocks = 8;

@@ -40,8 +40,8 @@ apps::WorkloadProfile small_profile() {
   return p;
 }
 
-core::dsim::SimZipperConfig fast_zipper() {
-  core::dsim::SimZipperConfig z;
+core::zbody::VtConfig fast_zipper() {
+  core::zbody::VtConfig z;
   z.block_bytes = MiB;
   z.sender_bandwidth = 400e6;  // transfer stage < compute stage
   z.writer_bandwidth = 200e6;
@@ -51,7 +51,7 @@ core::dsim::SimZipperConfig fast_zipper() {
 RunResult run_method(Method m, const apps::WorkloadProfile& prof,
                      int P = 8, int Q = 4,
                      transports::TransportParams params = {},
-                     core::dsim::SimZipperConfig zcfg = fast_zipper()) {
+                     core::zbody::VtConfig zcfg = fast_zipper()) {
   Layout layout{P, Q, transports::servers_for(m, P)};
   Cluster cluster(ClusterSpec::bridges(), layout);
   auto coupling = transports::make_coupling(m, cluster, prof, params, zcfg);
@@ -92,7 +92,7 @@ TEST(Workflow, ZipperDeliversAndAnalyzesEveryBlock) {
   Cluster cluster(ClusterSpec::bridges(), layout);
   workflow::PipelineCoupling coupling(cluster, prof, fast_zipper(), workflow::make_chain(1));
   const auto r = workflow::run_workflow(cluster, prof, &coupling);
-  const auto& s = coupling.edge(0).stats();
+  const auto& s = coupling.edge(0).aggregate();
   // 8 producers x 10 steps x 4 blocks/step.
   EXPECT_EQ(s.blocks_total, 8u * 10u * 4u);
   EXPECT_EQ(s.blocks_analyzed, s.blocks_total);
@@ -135,7 +135,7 @@ TEST(Workflow, StallAppearsWhenTransferSlowAndStealOff) {
   Cluster cluster(ClusterSpec::bridges(), layout);
   workflow::PipelineCoupling coupling(cluster, prof, zcfg, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_GT(sim::to_seconds(coupling.edge(0).stats().producer_stall), 0.5)
+  EXPECT_GT(sim::to_seconds(coupling.edge(0).aggregate().producer_stall), 0.5)
       << "producer should stall when the buffer keeps filling";
 }
 
@@ -158,9 +158,9 @@ TEST(Workflow, WorkStealingReducesStallAndUsesBothChannels) {
   workflow::PipelineCoupling k2(c2, prof, base, workflow::make_chain(1));
   const auto r2 = workflow::run_workflow(c2, prof, &k2);
 
-  EXPECT_GT(k2.edge(0).stats().blocks_stolen, 0u);
-  EXPECT_LT(sim::to_seconds(k2.edge(0).stats().producer_stall),
-            sim::to_seconds(k1.edge(0).stats().producer_stall))
+  EXPECT_GT(k2.edge(0).aggregate().blocks_stolen, 0u);
+  EXPECT_LT(sim::to_seconds(k2.edge(0).aggregate().producer_stall),
+            sim::to_seconds(k1.edge(0).aggregate().producer_stall))
       << "stealing must reduce producer stall";
   EXPECT_LE(r2.producers_done_s, r1.producers_done_s * 1.01)
       << "stealing must not slow the producers down";
@@ -176,8 +176,8 @@ TEST(Workflow, StealNeverActivatesWhenComputeBound) {
   Cluster cluster(ClusterSpec::bridges(), layout);
   workflow::PipelineCoupling coupling(cluster, prof, zcfg, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_EQ(coupling.edge(0).stats().blocks_stolen, 0u);
-  EXPECT_EQ(coupling.edge(0).stats().bytes_via_pfs, 0u);
+  EXPECT_EQ(coupling.edge(0).aggregate().blocks_stolen, 0u);
+  EXPECT_EQ(coupling.edge(0).aggregate().bytes_via_pfs, 0u);
 }
 
 TEST(Workflow, PreserveModeStoresAllBytes) {

@@ -43,13 +43,13 @@ apps::WorkloadProfile sweep_profile() {
 
 struct RunOutcome {
   workflow::RunResult result;
-  core::dsim::SimZipperStats stats;
+  core::exec::AggregateStats stats;
   std::uint64_t pfs_bytes_written;
 };
 
 RunOutcome run_case(const SweepCase& sc) {
   const auto prof = sweep_profile();
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = sc.block_bytes;
   z.producer_buffer_blocks = sc.buffer_blocks;
   z.enable_steal = sc.steal;
@@ -61,7 +61,7 @@ RunOutcome run_case(const SweepCase& sc) {
   workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   RunOutcome out;
   out.result = workflow::run_workflow(cluster, prof, &coupling);
-  out.stats = coupling.edge(0).stats();
+  out.stats = coupling.edge(0).aggregate();
   out.pfs_bytes_written = cluster.fs->total_bytes_written();
   return out;
 }
@@ -191,7 +191,7 @@ TEST(ZipperFault, CrawlingConsumerDoesNotDeadlockProducers) {
   // completes.
   auto prof = sweep_profile();
   prof.analysis_ns_per_byte = 400.0;
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = MiB;
   z.producer_buffer_blocks = 4;
   Layout layout{4, 2, 0};
@@ -199,7 +199,7 @@ TEST(ZipperFault, CrawlingConsumerDoesNotDeadlockProducers) {
   cluster.recorder.set_enabled(false);
   workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   const auto r = workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_EQ(coupling.edge(0).stats().blocks_analyzed, coupling.edge(0).stats().blocks_total);
+  EXPECT_EQ(coupling.edge(0).aggregate().blocks_analyzed, coupling.edge(0).aggregate().blocks_total);
   // Producers finish long before the crawling analysis drains.
   EXPECT_LT(r.producers_done_s, r.end_to_end_s);
 }
@@ -208,7 +208,7 @@ TEST(ZipperFault, GlacialPfsStillCompletesWithStealOn) {
   // A nearly-dead file system makes the steal channel worthless but must
   // never wedge the pipeline.
   auto prof = sweep_profile();
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = MiB;
   z.producer_buffer_blocks = 4;
   z.writer_bandwidth = 1e6;  // 1 MB/s spill packing
@@ -220,18 +220,18 @@ TEST(ZipperFault, GlacialPfsStillCompletesWithStealOn) {
   cluster.recorder.set_enabled(false);
   workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   const auto r = workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_EQ(coupling.edge(0).stats().blocks_analyzed, coupling.edge(0).stats().blocks_total);
+  EXPECT_EQ(coupling.edge(0).aggregate().blocks_analyzed, coupling.edge(0).aggregate().blocks_total);
   EXPECT_GT(r.end_to_end_s, 0.0);
 }
 
 TEST(ZipperFault, SingleConsumerManyProducers) {
   auto prof = sweep_profile();
-  core::dsim::SimZipperConfig z;
+  core::zbody::VtConfig z;
   z.block_bytes = MiB;
   Layout layout{16, 1, 0};
   Cluster cluster(ClusterSpec::bridges(), layout);
   cluster.recorder.set_enabled(false);
   workflow::PipelineCoupling coupling(cluster, prof, z, workflow::make_chain(1));
   workflow::run_workflow(cluster, prof, &coupling);
-  EXPECT_EQ(coupling.edge(0).stats().blocks_analyzed, coupling.edge(0).stats().blocks_total);
+  EXPECT_EQ(coupling.edge(0).aggregate().blocks_analyzed, coupling.edge(0).aggregate().blocks_total);
 }
